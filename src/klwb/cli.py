@@ -616,7 +616,11 @@ def main(argv=None) -> int:
     try:
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("KLWB_THREADS", "1"))
+            env = os.environ.get("KLWB_THREADS", "1")
+            try:
+                threads = int(env)
+            except ValueError:
+                raise ConfigError("KLWB_THREADS must be an integer, got %r" % env)
         cfg = RunConfig(
             cartan_type=args.cartan_type,
             orbit_denominator_bound=args.den,

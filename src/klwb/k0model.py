@@ -9,10 +9,21 @@ the free tuples, verifies the Euler identity of the canonical complex on
 free objects, and runs the localization splitting: a p(v)-multiple of any
 gluing tuple decomposes into a free part and a part annihilated by the
 twist factors, which is the executable content of the finiteness theorem.
+
+Scalars: the module is free over Z[v, v^-1] and every identity checked here
+is Z[v, v^-1]-linear, so it holds for a vector exactly when it holds for a
+nonzero multiple.  ``canonical_identity``, ``polyconj_split`` and
+``euclid_descent`` therefore clear denominators on entry
+(``_clear_denominators``), compute over Z[v, v^-1] only, and divide their
+results and failure witnesses back into Q(v) on exit.  The ``apply_*``
+methods work in the ring of their input entries: LaurentPoly in,
+LaurentPoly out; Qv in, Qv out.
 """
 
 from __future__ import annotations
 
+import operator
+import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .klalgebra import KLAlgebra, OrbitHeckeElement
@@ -27,6 +38,7 @@ from .rings import (
     annihilator_family,
     divides_p_power,
     divmod_x,
+    gcd_laurent,
     p_poly,
     split_at_one,
 )
@@ -85,27 +97,18 @@ class KTuple:
         eid = w if isinstance(w, int) else self.module.group.id_of(w)
         return self._c[eid]
 
-    def __add__(self, other):
+    def _zip(self, other, op):
         if not isinstance(other, KTuple) or other.module is not self.module:
             return NotImplemented
         return KTuple(
-            self.module,
-            {
-                e: [a + b for a, b in zip(v, other._c[e])]
-                for e, v in self._c.items()
-            },
+            self.module, {e: list(map(op, v, other._c[e])) for e, v in self._c.items()}
         )
 
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
     def __sub__(self, other):
-        if not isinstance(other, KTuple) or other.module is not self.module:
-            return NotImplemented
-        return KTuple(
-            self.module,
-            {
-                e: [a - b for a, b in zip(v, other._c[e])]
-                for e, v in self._c.items()
-            },
-        )
+        return self._zip(other, operator.sub)
 
     def scale(self, c) -> "KTuple":
         c = _as_qv(c)
@@ -144,19 +147,38 @@ def _as_qv(x) -> Qv:
     raise TypeError("expected a scalar, got %r" % (x,))
 
 
-def _unwrap(t: KTuple):
-    """Components of t plus the zero of the cheapest scalar ring holding them.
+def _clear_denominators(vecs) -> Tuple[List[List[LaurentPoly]], LaurentPoly]:
+    """Integral vectors D * vec and their common denominator D.
 
-    Polynomial tuples are computed over Z[v, v^-1]; anything with a true
-    denominator falls back to Q(v).
+    Entries may be int, LaurentPoly or Qv; D is the lcm of the entry
+    denominators, 1 when every entry is a polynomial.
     """
-    if all(x.den.is_unit for vec in t._c.values() for x in vec):
-        return {w: [x.num for x in vec] for w, vec in t._c.items()}, LaurentPoly.zero()
-    return {w: list(vec) for w, vec in t._c.items()}, QV_ZERO
+    vecs = [[_as_qv(x) for x in vec] for vec in vecs]
+    den = LaurentPoly.one()
+    dens = {x.den for vec in vecs for x in vec}
+    for d in dens:
+        den = den * d.divide_exact(gcd_laurent(den, d))
+    scale = {d: den.divide_exact(d) for d in dens}
+    return [[x.num * scale[x.den] for x in vec] for vec in vecs], den
+
+
+def _over(vec, den: LaurentPoly) -> List[Qv]:
+    """Divide an integral vector back into Q(v)."""
+    return [Qv(x, den) for x in vec]
+
+
+def _zero_like(vec):
+    """The zero of the ring of vec's entries: Q(v) if any entry is a Qv."""
+    return QV_ZERO if Qv in map(type, vec) else LaurentPoly.zero()
 
 
 class KModule:
-    """Action matrices of the generator algebra on the sum of orbit modules."""
+    """Action matrices of the generator algebra on the sum of orbit modules.
+
+    ``apply_*`` return vectors in the ring of their input entries.  The
+    Euler identity and the splitting run over Z[v, v^-1] on denominator-free
+    multiples of their input; see the module docstring.
+    """
 
     def __init__(self, kl: KLAlgebra):
         self.kl = kl
@@ -203,6 +225,7 @@ class KModule:
                     )
             self._twist_cols.append(zc)
         self._solvers: Dict[Tuple[int, int], list] = {}
+        self._solver_lock = threading.Lock()
 
     @classmethod
     def for_type(cls, cartan_type: str, den_bound: int = 6) -> "KModule":
@@ -226,9 +249,8 @@ class KModule:
                 out[self.offsets[oi] + alg.flat_index(0, pidx)] = QV_ONE
         return out
 
-    def _apply_cols(self, cols_per_orbit, vec, zero=QV_ZERO):
-        # scalar-generic: works over Q(v) vectors and over Z[v, v^-1] vectors
-        out = [zero] * self.dim
+    def _apply_cols(self, cols_per_orbit, vec):
+        out = [_zero_like(vec)] * self.dim
         for oi, cols in enumerate(cols_per_orbit):
             off = self.offsets[oi]
             for j, col in enumerate(cols):
@@ -238,29 +260,27 @@ class KModule:
                         out[off + r] = out[off + r] + c * poly
         return out
 
-    def apply_generator(self, s: int, vec, zero=QV_ZERO):
-        return self._apply_cols(
-            [per_s[s] for per_s in self._gen_cols], vec, zero
-        )
+    def apply_generator(self, s: int, vec):
+        return self._apply_cols([per_s[s] for per_s in self._gen_cols], vec)
 
-    def apply_word(self, word: Iterable[int], vec, zero=QV_ZERO):
+    def apply_word(self, word: Iterable[int], vec):
         out = list(vec)
         for s in reversed(tuple(word)):
-            out = self.apply_generator(s, out, zero)
+            out = self.apply_generator(s, out)
         return out
 
-    def apply_element(self, w, vec, zero=QV_ZERO):
+    def apply_element(self, w, vec):
         eid = w if isinstance(w, int) else self.group.id_of(w)
-        return self.apply_word(self.group.words[eid], vec, zero)
+        return self.apply_word(self.group.words[eid], vec)
 
-    def apply_fulltwist(self, vec, zero=QV_ZERO):
-        return self._apply_cols(self._twist_cols, vec, zero)
+    def apply_fulltwist(self, vec):
+        return self._apply_cols(self._twist_cols, vec)
 
-    def apply_twist_poly(self, bp: BivarPoly, vec, zero=QV_ZERO):
+    def apply_twist_poly(self, bp: BivarPoly, vec):
         """Evaluate a polynomial in the full twist on a vector (Horner)."""
-        acc = [zero] * self.dim
+        acc = [_zero_like(vec)] * self.dim
         for k in range(bp.degree, -1, -1):
-            acc = self.apply_fulltwist(acc, zero)
+            acc = self.apply_fulltwist(acc)
             c = bp.coefficient(k)
             if not c.is_zero:
                 acc = [a + x * c for a, x in zip(acc, vec)]
@@ -309,33 +329,37 @@ class KModule:
     # -- gluing -------------------------------------------------------------------
 
     def _solver(self, oi: int, s: int):
-        """Echelonized image of Phi_s^2 - 1 on one orbit block, with preimages."""
-        got = self._solvers.get((oi, s))
-        if got is None:
-            n = self.block_dims[oi]
-            off = self.offsets[oi]
-            rows_seen = []
-            for j in range(n):
-                vec = [QV_ZERO] * self.dim
-                vec[off + j] = QV_ONE
-                img = self.apply_generator(s, self.apply_generator(s, vec))
-                col = [img[off + r] - vec[off + r] for r in range(n)]
-                pre = [QV_ZERO] * n
-                pre[j] = QV_ONE
-                for pr, pcol, ppre in rows_seen:
-                    f = col[pr]
-                    if f:
-                        col = [a - f * b for a, b in zip(col, pcol)]
-                        pre = [a - f * b for a, b in zip(pre, ppre)]
-                pivot = next((r for r, a in enumerate(col) if a), None)
-                if pivot is not None:
-                    inv = col[pivot].inv()
-                    col = [a * inv for a in col]
-                    pre = [a * inv for a in pre]
-                    rows_seen.append((pivot, col, pre))
-            got = rows_seen
-            self._solvers[(oi, s)] = got
+        """``_build_solver(oi, s)``, built once per module even across threads."""
+        with self._solver_lock:
+            got = self._solvers.get((oi, s))
+            if got is None:
+                got = self._solvers[(oi, s)] = self._build_solver(oi, s)
         return got
+
+    def _build_solver(self, oi: int, s: int):
+        """Echelonized image of Phi_s^2 - 1 on one orbit block, with preimages."""
+        n = self.block_dims[oi]
+        off = self.offsets[oi]
+        rows_seen = []
+        for j in range(n):
+            vec = [QV_ZERO] * self.dim
+            vec[off + j] = QV_ONE
+            img = self.apply_generator(s, self.apply_generator(s, vec))
+            col = [img[off + r] - vec[off + r] for r in range(n)]
+            pre = [QV_ZERO] * n
+            pre[j] = QV_ONE
+            for pr, pcol, ppre in rows_seen:
+                f = col[pr]
+                if f:
+                    col = [a - f * b for a, b in zip(col, pcol)]
+                    pre = [a - f * b for a, b in zip(pre, ppre)]
+            pivot = next((r for r, a in enumerate(col) if a), None)
+            if pivot is not None:
+                inv = col[pivot].inv()
+                col = [a * inv for a in col]
+                pre = [a * inv for a in pre]
+                rows_seen.append((pivot, col, pre))
+        return rows_seen
 
     def _solve_image(self, s: int, rhs: Sequence[Qv]):
         """Solve (Phi_s^2 - 1) x = rhs; None when rhs is outside the image."""
@@ -405,7 +429,7 @@ class KModule:
                 )
         return out
 
-    def _all_images(self, vec: list, zero) -> List[list]:
+    def _all_images(self, vec: list) -> List[list]:
         """Phi_z vec for every group element z, one generator apply each.
 
         Walks elements in length order; any left descent s of z gives the
@@ -422,27 +446,22 @@ class KModule:
             for s in range(g.rank):
                 par = g.lmul_id(s, eid)
                 if g.lengths[par] < g.lengths[eid]:
-                    out[eid] = self.apply_generator(s, out[par], zero)
+                    out[eid] = self.apply_generator(s, out[par])
                     break
         return out
 
-    def canonical_identity(self, k: Sequence[Qv]) -> List[dict]:
+    def canonical_identity(self, k: Sequence) -> List[dict]:
         """Euler identity of the canonical complex on the free tuple at e.
 
         For every y, the alternating sum over nonempty J of the restricted
         free components equals Phi_y k plus (-1)^(n-1) Phi_w0 Phi_{w0 y} k.
+        Checked over Z[v, v^-1] on D k, D the common denominator of k; a
+        failure witness is the difference divided back by D.
         """
         g = self.group
         n = g.rank
-        fast = all(isinstance(x, (int, LaurentPoly)) for x in k)
-        if fast:
-            # integral entries: stay in Z[v, v^-1], much cheaper than Q(v)
-            k = [LaurentPoly.const(x) if isinstance(x, int) else x for x in k]
-            zero = LaurentPoly.zero()
-        else:
-            k = [_as_qv(x) for x in k]
-            zero = QV_ZERO
-        tab_k = self._all_images(k, zero)
+        (k,), den = _clear_denominators([k])
+        tab_k = self._all_images(k)
         # tabs[x][z] = Phi_z Phi_x k over every coset representative x
         terms: List[Tuple[int, List[int]]] = []  # (sign, rep ids)
         tabs: Dict[int, List[list]] = {g.id_of(g.identity): tab_k}
@@ -453,39 +472,26 @@ class KModule:
             reps = [g.id_of(x) for x in g.min_coset_reps(kset)]
             for x in reps:
                 if x not in tabs:
-                    tabs[x] = self._all_images(tab_k[x], zero)
+                    tabs[x] = self._all_images(tab_k[x])
             terms.append((sign, reps))
         w0 = g.longest_id
-        sign_top = 1 if (n - 1) % 2 == 0 else -1
+        add_top = operator.add if (n - 1) % 2 == 0 else operator.sub
         out = []
         for y in range(g.size):
-            if fast:
-                # merge raw coefficient maps, then normalize once
-                acc: List[dict] = [{} for _ in range(self.dim)]
-                for sign, reps in terms:
-                    for x in reps:
-                        part = tabs[x][g.mul_id(y, g.inv_id(x))]
-                        for r, val in enumerate(part):
-                            if val:
-                                ar = acc[r]
-                                for e, c in val.items():
-                                    ar[e] = ar.get(e, 0) + (c if sign > 0 else -c)
-                lhs = [LaurentPoly(a) for a in acc]
-            else:
-                lhs = [zero] * self.dim
-                for sign, reps in terms:
-                    for x in reps:
-                        part = tabs[x][g.mul_id(y, g.inv_id(x))]
-                        if sign > 0:
-                            lhs = [a + b for a, b in zip(lhs, part)]
-                        else:
-                            lhs = [a - b for a, b in zip(lhs, part)]
+            # merge raw coefficient maps, then normalize once
+            acc: List[dict] = [{} for _ in range(self.dim)]
+            for sign, reps in terms:
+                for x in reps:
+                    part = tabs[x][g.mul_id(y, g.inv_id(x))]
+                    for r, val in enumerate(part):
+                        if val:
+                            ar = acc[r]
+                            for e, c in val.items():
+                                ar[e] = ar.get(e, 0) + (c if sign > 0 else -c)
+            lhs = [LaurentPoly(a) for a in acc]
             rhs = tab_k[y]
-            top = self.apply_element(w0, tab_k[g.mul_id(w0, y)], zero)
-            if sign_top > 0:
-                rhs = [a + b for a, b in zip(rhs, top)]
-            else:
-                rhs = [a - b for a, b in zip(rhs, top)]
+            top = self.apply_element(w0, tab_k[g.mul_id(w0, y)])
+            rhs = list(map(add_top, rhs, top))
             ok = lhs == rhs
             out.append(
                 {
@@ -494,7 +500,7 @@ class KModule:
                     "status": "pass" if ok else "fail",
                     "witness": None
                     if ok
-                    else _render_vec([a - b for a, b in zip(lhs, rhs)]),
+                    else _render_vec(_over(map(operator.sub, lhs, rhs), den)),
                 }
             )
         return out
@@ -520,44 +526,32 @@ class KModule:
         mm = resolve_m(m, g)
         ptilde = annihilator_family(mm, tilde=True)
         pv, r = split_at_one(ptilde)
-        comp, zero = _unwrap(a)
-        a0c = {
-            w: self.apply_twist_poly(ptilde, comp[w], zero) for w in range(g.size)
-        }
-        a1c = {}
-        for w in range(g.size):
-            fm = [
-                x - y
-                for x, y in zip(self.apply_fulltwist(comp[w], zero), comp[w])
-            ]
-            a1c[w] = self.apply_twist_poly(r, fm, zero)
+        # over Z[v, v^-1]: comp = D a, and a0, a1 are divided back by D
+        comp, den = _clear_denominators(a.get(w) for w in range(g.size))
+        a0c = [self.apply_twist_poly(ptilde, vec) for vec in comp]
+        a1c = []
+        for vec in comp:
+            fm = [x - y for x, y in zip(self.apply_fulltwist(vec), vec)]
+            a1c.append(self.apply_twist_poly(r, fm))
         cert = {"m": mm, "p": pv.render()}
-        pvx = pv if zero is not QV_ZERO else Qv(pv)
         for w in range(g.size):
             got = [x + y for x, y in zip(a0c[w], a1c[w])]
-            if got != [x * pvx for x in comp[w]]:
+            if got != [x * pv for x in comp[w]]:
                 raise IdentityFailure("a0 + a1 differs from p(v) a")
         cert["sum"] = "pass"
         v4m1 = LaurentPoly.monomial(4) - LaurentPoly.one()
-        if zero is QV_ZERO:
-            v4m1 = Qv(v4m1)
         for s in range(g.rank):
             for w in range(g.size):
                 vec = a0c[w]
-                sq = self.apply_generator(s, self.apply_generator(s, vec, zero), zero)
+                sq = self.apply_generator(s, self.apply_generator(s, vec))
                 if sq != list(vec):
                     raise IdentityFailure(
                         "Phi_s^2 does not fix a0 at s=%d, w=%s"
                         % (s + 1, g.elements[w].word_str)
                     )
                 sw = g.lmul_id(s, w)
-                d = [
-                    x - y
-                    for x, y in zip(
-                        a0c[sw], self.apply_generator(s, a0c[w], zero)
-                    )
-                ]
-                lhs = self.apply_generator(s, self.apply_generator(s, d, zero), zero)
+                d = [x - y for x, y in zip(a0c[sw], self.apply_generator(s, a0c[w]))]
+                lhs = self.apply_generator(s, self.apply_generator(s, d))
                 lhs = [x - y for x, y in zip(lhs, d)]
                 if lhs != [v4m1 * x for x in d]:
                     raise IdentityFailure(
@@ -571,13 +565,15 @@ class KModule:
                     )
         cert["free"] = "pass"
         for w in range(g.size):
-            if any(self.apply_twist_poly(ptilde, a1c[w], zero)):
+            if any(self.apply_twist_poly(ptilde, a1c[w])):
                 raise IdentityFailure(
                     "Ptilde(F) does not annihilate a1 at %s"
                     % g.elements[w].word_str
                 )
         cert["annihilated"] = "pass"
-        return KTuple(self, a0c), KTuple(self, a1c), cert
+        a0 = KTuple(self, {w: _over(vec, den) for w, vec in enumerate(a0c)})
+        a1 = KTuple(self, {w: _over(vec, den) for w, vec in enumerate(a1c)})
+        return a0, a1, cert
 
     def euclid_descent(self, a: KTuple, r: int, m=None) -> Tuple[BivarPoly, dict]:
         """Express p(v)^r a through (F - 1) a given Ptilde^r (F) a = 0.
@@ -590,27 +586,22 @@ class KModule:
         gW = self.group
         mm = resolve_m(m, gW)
         ptilde_r = annihilator_family(mm, tilde=True) ** r
-        comp, zero = _unwrap(a)
+        comp, den = _clear_denominators(a.get(w) for w in range(gW.size))
         for w in range(gW.size):
-            res = self.apply_twist_poly(ptilde_r, comp[w], zero)
+            res = self.apply_twist_poly(ptilde_r, comp[w])
             if any(res):
                 raise PreconditionFailure(
                     "Ptilde^r(F) a is nonzero at %s: %s"
-                    % (gW.elements[w].word_str, _render_vec(res))
+                    % (gW.elements[w].word_str, _render_vec(_over(res, den)))
                 )
         pr = BivarPoly.const(p_poly(mm)) ** r
         quo, rem = divmod_x(pr - ptilde_r, BivarPoly.x_minus(LaurentPoly.one()))
         if not rem.is_zero:
             raise IdentityFailure("x - 1 must divide p^r - Ptilde^r")
         scal = p_poly(mm) ** r
-        if zero is QV_ZERO:
-            scal = Qv(scal)
         for w in range(gW.size):
-            f1 = [
-                x - y
-                for x, y in zip(self.apply_fulltwist(comp[w], zero), comp[w])
-            ]
-            lhs = self.apply_twist_poly(quo, f1, zero)
+            f1 = [x - y for x, y in zip(self.apply_fulltwist(comp[w]), comp[w])]
+            lhs = self.apply_twist_poly(quo, f1)
             if lhs != [scal * x for x in comp[w]]:
                 raise IdentityFailure("descent identity failed")
         return quo, {"check": "euclid_descent", "r": r, "m": mm, "status": "pass"}

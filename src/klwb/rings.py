@@ -464,7 +464,9 @@ class Qv:
 
     Canonical form: denominator lies in Z[v], has nonzero constant term,
     positive leading coefficient, and is coprime to the numerator, so
-    equality is componentwise.
+    equality is componentwise.  A unit denominator +-v^k skips the gcd: it
+    is folded into the numerator by the shift and the sign below, which is
+    all the reduction it needs.
     """
 
     __slots__ = ("num", "den")
@@ -480,10 +482,11 @@ class Qv:
             self.num = _ZERO
             self.den = _ONE
             return
-        g = gcd_laurent(num, den)
-        if not g.is_unit or g.min_exp != 0:
-            num = num.divide_exact(g)
-            den = den.divide_exact(g)
+        if not den.is_unit:
+            g = gcd_laurent(num, den)
+            if not g.is_unit or g.min_exp != 0:
+                num = num.divide_exact(g)
+                den = den.divide_exact(g)
         # fold the unit part of the denominator into the numerator
         shift = den.min_exp
         if shift:

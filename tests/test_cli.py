@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from klwb.cli import RunConfig, ConfigError, main
+from klwb.k0model import KModule
 
 
 def run(capsys, *args):
@@ -158,6 +160,41 @@ def test_env_thread_fallback(capsys, monkeypatch):
     rc2, enved = run(capsys, "verify", "cubic", "--type", "A2", "--den", "2", "--json")
     assert rc == rc2 == 0
     assert base.out == enved.out
+
+
+def test_bad_env_thread_count_is_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("KLWB_THREADS", "two")
+    rc, out = run(capsys, "verify", "braid", "--type", "A1")
+    assert rc == 2
+    assert out.out == ""
+    assert out.err == "error: KLWB_THREADS must be an integer, got 'two'\n"
+
+
+def test_gluing_builds_each_solver_once_across_threads(capsys, monkeypatch):
+    builds = []
+    orig = KModule._build_solver
+
+    def counted(self, oi, s):
+        builds.append((oi, s))
+        return orig(self, oi, s)
+
+    monkeypatch.setattr(KModule, "_build_solver", counted)
+    per_threads = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a race shows
+    try:
+        for threads in ("1", "2", "4"):
+            builds.clear()
+            rc, _ = run(
+                capsys, "verify", "gluing", "--type", "A2", "--den", "3",
+                "--seed", "5", "--threads", threads,
+            )
+            assert rc == 0
+            per_threads[threads] = sorted(builds)
+    finally:
+        sys.setswitchinterval(interval)
+    assert per_threads["1"] == per_threads["2"] == per_threads["4"]
+    assert len(set(builds)) == len(builds) > 0
 
 
 def test_specialize_values(capsys):

@@ -10,6 +10,7 @@ from klwb.k0model import (
     KModule,
     KTuple,
     PreconditionFailure,
+    _render_vec,
     resolve_m,
 )
 from klwb.klalgebra import KLAlgebra
@@ -186,6 +187,32 @@ def test_canonical_identity_random_vectors():
             rep = M.canonical_identity(rand_poly_vec(M, rng))
             assert len(rep) == M.group.size
             assert all(r["status"] == "pass" for r in rep)
+
+
+def test_canonical_identity_true_denominator():
+    M = KModule.for_type("A2", 2)
+    k = M.random_vector(random.Random(5))
+    kq = [x * Qv(1, lp({0: 1, 2: 1})) for x in k]
+    assert any(not x.is_polynomial for x in kq)
+    assert M.canonical_identity(kq) == M.canonical_identity(k)
+    # double the first Phi_w0 the identity applies, the one on the y = e
+    # side: in rank two rhs = Phi_y k - Phi_w0 Phi_{w0 y} k, so that report
+    # alone fails, with lhs - rhs = Phi_w0 Phi_w0 k over Q(v)
+    orig = M.apply_element
+    calls = []
+
+    def broken(w, vec):
+        calls.append(w)
+        out = orig(w, vec)
+        return [2 * x for x in out] if len(calls) == 1 else out
+
+    M.apply_element = broken
+    rep = M.canonical_identity(kq)
+    assert [r["status"] for r in rep] == ["fail"] + ["pass"] * (M.group.size - 1)
+    assert rep[0]["y"] == M.group.identity.word_str
+    w0 = M.group.longest_id
+    assert rep[0]["witness"] == _render_vec(orig(w0, orig(w0, kq)))
+    assert "/ (1 + v^2)" in rep[0]["witness"]
 
 
 def test_polyconj_split_contracts():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klwb.rings import (
     BivarPoly,
@@ -300,3 +301,76 @@ def test_gcd_laurent():
     # gcd is (1 - v^2)(1 + v^2) up to sign? no: common factor is 1 - v^2
     # times the shared (1 + v^2) inside 1 - v^4
     assert g == binom(2) or g == -binom(2)
+
+
+# -- properties (hypothesis) ------------------------------------------------
+
+laurent = st.dictionaries(
+    st.integers(-4, 4), st.integers(-6, 6), max_size=4
+).map(LaurentPoly)
+nonzero_laurent = laurent.filter(lambda p: not p.is_zero)
+units = st.builds(
+    LaurentPoly.monomial, st.integers(-5, 5), st.sampled_from((1, -1))
+)
+fractions = st.builds(Qv, laurent, nonzero_laurent)
+props = settings(max_examples=150, deadline=None)
+
+
+@props
+@given(laurent, nonzero_laurent, st.one_of(nonzero_laurent, units))
+def test_qv_common_factor_cancels(a, b, c):
+    assert Qv(a * c, b * c) == Qv(a, b)
+
+
+@props
+@given(laurent, nonzero_laurent)
+def test_qv_canonical_form(a, b):
+    x = Qv(a, b)
+    d = x.den
+    # in Z[v] with nonzero constant term and positive leading coefficient
+    assert d.min_exp == 0
+    assert d.coefficient(d.max_exp) > 0
+    if x.is_zero:
+        assert d == ONE
+    else:
+        assert gcd_laurent(x.num, d) == ONE
+    # the pair represents a / b: a * den == num * b
+    assert a * d == x.num * b
+
+
+@props
+@given(laurent, units, nonzero_laurent.filter(lambda p: not p.is_unit))
+def test_qv_unit_denominator_matches_gcd_path(a, u, c):
+    # a / u for a unit u = +-v^k is a * u^-1 over the denominator 1
+    x = Qv(a, u)
+    assert x.den == ONE
+    assert x.num == a * u ** -1
+    # the same value with a non-unit factor on both sides goes through gcd
+    assert Qv(a * c, u * c) == x
+
+
+@props
+@given(laurent, laurent)
+def test_gcd_laurent_divides_both(p, q):
+    g = gcd_laurent(p, q)
+    if p.is_zero and q.is_zero:
+        assert g.is_zero
+        return
+    for f in (p, q):
+        quo = f.divide_exact(g)
+        assert quo is not None and quo * g == f
+
+
+@props
+@given(fractions, fractions, fractions)
+def test_qv_field_axioms(x, y, z):
+    zero, one = Qv(0), Qv(1)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x
+    assert x + (-x) == zero and x - y == x + (-y)
+    if not x.is_zero:
+        assert x * x.inv() == one
+        assert (y / x) * x == y
