@@ -3,12 +3,13 @@
 Every command prints a deterministic report (text or JSON) built from
 result entries {check, status, detail, witness?} with status one of
 pass, finding, fail.  A "finding" records a measured discrepancy against
-a documented expectation and does not affect the exit code; exit 0 means
-no assertion failed, exit 1 carries at least one failure (first witness
-included in the report), exit 2 flags a usage or configuration error.
-Work fans out over a thread pool when requested, but results are merged
-in submission order, so the bytes emitted do not depend on the thread
-count.
+a documented expectation and does not affect the exit code.  Exit codes:
+0 every check passed (findings allowed); 1 at least one check failed (its
+witness is in the report); 2 usage or configuration error; 3 internal error,
+an unexpected exception, reported on stderr as "internal error: <type>:
+<message>" on one line.  Work fans out over a thread pool when requested,
+but results are merged in submission order, so the bytes emitted do not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -641,6 +642,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:
+        msg = " ".join(str(e).split())
+        print("internal error: %s: %s" % (type(e).__name__, msg), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .linalg import minpoly_operator, qpoly_to_bivar
-from .rings import BivarPoly, LaurentPoly, Qv, QV_ZERO
+from .rings import BivarPoly, LaurentPoly
 
 STD = "std"
 LY = "ly"
@@ -218,18 +218,6 @@ class HeckeAlgebra:
                 out[eid] = out.get(eid, LaurentPoly.zero()) + self._qb * c
         return out
 
-    def _rmul_gen(self, terms: Dict[int, LaurentPoly], i: int) -> Dict[int, LaurentPoly]:
-        g = self.group
-        out: Dict[int, LaurentPoly] = {}
-        for eid, c in terms.items():
-            j = g.rmul_id(eid, i)
-            if g.lengths[j] > g.lengths[eid]:
-                out[j] = out.get(j, LaurentPoly.zero()) + c
-            else:
-                out[j] = out.get(j, LaurentPoly.zero()) + self._qa * c
-                out[eid] = out.get(eid, LaurentPoly.zero()) + self._qb * c
-        return out
-
     def t_mul(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         if a.algebra is not self or b.algebra is not self:
             a._check(b)
@@ -426,11 +414,11 @@ class HeckeAlgebra:
         images = [self.t_mul(self.basis(eid), z) for eid in range(n)]
 
         def apply(vec):
-            out = [QV_ZERO] * n
+            out = [LaurentPoly.zero()] * n
             for i, c in enumerate(vec):
                 if c:
                     for eid, p in images[i]._t.items():
-                        out[eid] = out[eid] + c * Qv(p)
+                        out[eid] = out[eid] + c * p
             return out
 
         return qpoly_to_bivar(minpoly_operator(apply, n))

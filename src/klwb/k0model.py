@@ -12,12 +12,14 @@ twist factors, which is the executable content of the finiteness theorem.
 
 Scalars: the module is free over Z[v, v^-1] and every identity checked here
 is Z[v, v^-1]-linear, so it holds for a vector exactly when it holds for a
-nonzero multiple.  ``canonical_identity``, ``polyconj_split`` and
-``euclid_descent`` therefore clear denominators on entry
-(``_clear_denominators``), compute over Z[v, v^-1] only, and divide their
-results and failure witnesses back into Q(v) on exit.  The ``apply_*``
-methods work in the ring of their input entries: LaurentPoly in,
-LaurentPoly out; Qv in, Qv out.
+nonzero multiple.  A ``KTuple`` is stored as integral numerator vectors
+over one common denominator D (``_clear_denominators``), and gluing, the
+splitting and ``euclid_descent`` compute on the numerators, the gluing
+solver by fraction-free elimination (``linalg.reduce_pair``).
+``canonical_identity`` clears the denominators of its vector the same way.
+Q(v) appears only where a value leaves: ``KTuple.get``, rendered witnesses
+and ``express_in_free_span``, whose solve stays in Q(v).  The ``apply_*``
+methods work in the ring of their input entries.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import operator
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .klalgebra import KLAlgebra, OrbitHeckeElement
-from .linalg import solve_linear
+from .klalgebra import KLAlgebra
+from .linalg import echelon_row, reduce_pair, solve_linear
 from .rings import (
     BivarPoly,
     LaurentPoly,
@@ -69,40 +71,55 @@ def resolve_m(m, W) -> int:
 
 
 class KTuple:
-    """W-indexed family of module vectors."""
+    """W-indexed family of module vectors.
 
-    __slots__ = ("module", "_c")
+    Stored over Z[v, v^-1]: ``_c[w]`` is the numerator vector at w and
+    ``den`` the one denominator D they share, at construction the lcm of
+    the entry denominators (1 for polynomial input).  ``get`` divides back
+    into Q(v).  D need not be reduced, so ``==`` cross-multiplies.
+    """
+
+    __slots__ = ("module", "_c", "den")
 
     def __init__(self, module: "KModule", components):
+        g = module.group
+        nums, den = _clear_denominators(components.values())
+        if any(len(vec) != module.dim for vec in nums):
+            raise ValueError("component has wrong dimension")
+        cs = {k if isinstance(k, int) else g.id_of(k): v for k, v in zip(components, nums)}
+        zero = [LaurentPoly.zero()] * module.dim
+        self._set(module, [cs.get(e, zero) for e in range(g.size)], den)
+
+    def _set(self, module: "KModule", nums, den: LaurentPoly) -> "KTuple":
         self.module = module
-        n = module.dim
-        cs = {}
-        for k, vec in components.items():
-            eid = k if isinstance(k, int) else module.group.id_of(k)
-            vec = tuple(_as_qv(x) for x in vec)
-            if len(vec) != n:
-                raise ValueError("component has wrong dimension")
-            cs[eid] = vec
-        for eid in range(module.group.size):
-            if eid not in cs:
-                cs[eid] = tuple([QV_ZERO] * n)
-        self._c = cs
+        self._c = [tuple(vec) for vec in nums]
+        self.den = den
+        return self
+
+    @classmethod
+    def _of(cls, module: "KModule", nums, den: LaurentPoly) -> "KTuple":
+        """The tuple with numerator vectors nums, one per element id, over den."""
+        return cls.__new__(cls)._set(module, nums, den)
 
     @property
     def components(self):
         els = self.module.group.elements
-        return {els[e]: v for e, v in self._c.items()}
+        return {els[e]: self.get(e) for e in range(len(self._c))}
 
     def get(self, w) -> Tuple[Qv, ...]:
         eid = w if isinstance(w, int) else self.module.group.id_of(w)
-        return self._c[eid]
+        return tuple(_over(self._c[eid], self.den))
 
     def _zip(self, other, op):
         if not isinstance(other, KTuple) or other.module is not self.module:
             return NotImplemented
-        return KTuple(
-            self.module, {e: list(map(op, v, other._c[e])) for e, v in self._c.items()}
-        )
+        a, b, den = self._c, other._c, self.den
+        if other.den != den:
+            den = _lcm(den, other.den)
+            a = _scaled(a, den.divide_exact(self.den))
+            b = _scaled(b, den.divide_exact(other.den))
+        rows = [[op(x, y) if y else x for x, y in zip(u, v)] for u, v in zip(a, b)]
+        return KTuple._of(self.module, rows, den)
 
     def __add__(self, other):
         return self._zip(other, operator.add)
@@ -111,40 +128,47 @@ class KTuple:
         return self._zip(other, operator.sub)
 
     def scale(self, c) -> "KTuple":
-        c = _as_qv(c)
-        return KTuple(
-            self.module, {e: [c * a for a in v] for e, v in self._c.items()}
-        )
+        [[num]], den = _clear_denominators([[c]])
+        return KTuple._of(self.module, _scaled(self._c, num), self.den * den)
 
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for v in self._c.values() for a in v)
+        return not any(a for v in self._c for a in v)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, KTuple)
-            and other.module is self.module
-            and other._c == self._c
-        )
+        if not isinstance(other, KTuple) or other.module is not self.module:
+            return False
+        if other.den == self.den:
+            return other._c == self._c
+        return _scaled(self._c, other.den) == _scaled(other._c, self.den)
 
     def __hash__(self):
-        return hash(tuple(sorted(self._c.items())))
+        # Q(v) values are canonical, so equal tuples hash equal whatever D
+        return hash(tuple(self.get(e) for e in range(len(self._c))))
 
     def to_json(self):
         g = self.module.group
         out = {}
         for e in range(g.size):
             word = "".join(str(i + 1) for i in g.words[e]) or "e"
-            out[word] = [a.render() for a in self._c[e]]
+            out[word] = [a.render() for a in self.get(e)]
         return out
 
 
-def _as_qv(x) -> Qv:
-    if isinstance(x, Qv):
+def _scalar(x):
+    if isinstance(x, (LaurentPoly, Qv)):
         return x
-    if isinstance(x, (LaurentPoly, int)):
-        return Qv(x)
+    if isinstance(x, int):
+        return LaurentPoly.const(x)
     raise TypeError("expected a scalar, got %r" % (x,))
+
+
+def _lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    return a * b.divide_exact(gcd_laurent(a, b))
+
+
+def _scaled(vecs, c: LaurentPoly):
+    return [[c * x for x in vec] for vec in vecs]
 
 
 def _clear_denominators(vecs) -> Tuple[List[List[LaurentPoly]], LaurentPoly]:
@@ -153,18 +177,18 @@ def _clear_denominators(vecs) -> Tuple[List[List[LaurentPoly]], LaurentPoly]:
     Entries may be int, LaurentPoly or Qv; D is the lcm of the entry
     denominators, 1 when every entry is a polynomial.
     """
-    vecs = [[_as_qv(x) for x in vec] for vec in vecs]
+    vecs = [[_scalar(x) for x in vec] for vec in vecs]
+    dens = {x.den for vec in vecs for x in vec if isinstance(x, Qv)}
     den = LaurentPoly.one()
-    dens = {x.den for vec in vecs for x in vec}
     for d in dens:
-        den = den * d.divide_exact(gcd_laurent(den, d))
+        den = _lcm(den, d)
     scale = {d: den.divide_exact(d) for d in dens}
-    return [[x.num * scale[x.den] for x in vec] for vec in vecs], den
+    return [[x.num * scale[x.den] if isinstance(x, Qv) else x for x in vec] for vec in vecs], den
 
 
 def _over(vec, den: LaurentPoly) -> List[Qv]:
     """Divide an integral vector back into Q(v)."""
-    return [Qv(x, den) for x in vec]
+    return [Qv(x, den) if x else QV_ZERO for x in vec]
 
 
 def _zero_like(vec):
@@ -299,15 +323,14 @@ class KModule:
             vec = self.unit_vector()
         return KTuple(self, {e: list(vec) for e in range(self.group.size)})
 
-    def make_free(self, w, k: Sequence[Qv]) -> KTuple:
+    def make_free(self, w, k: Sequence) -> KTuple:
         """The tuple with components Phi_{y w^-1} k."""
         g = self.group
         wid = w if isinstance(w, int) else g.id_of(w)
         winv = g.inv_id(wid)
-        comps = {}
-        for y in range(g.size):
-            comps[y] = self.apply_element(g.mul_id(y, winv), k)
-        return KTuple(self, comps)
+        (k,), den = _clear_denominators([k])
+        tab = self._all_images(k)
+        return KTuple._of(self, [tab[g.mul_id(y, winv)] for y in range(g.size)], den)
 
     def random_vector(self, rng, density: float = 0.5) -> List[Qv]:
         out = self.zero_vector()
@@ -337,71 +360,67 @@ class KModule:
         return got
 
     def _build_solver(self, oi: int, s: int):
-        """Echelonized image of Phi_s^2 - 1 on one orbit block, with preimages."""
-        n = self.block_dims[oi]
-        off = self.offsets[oi]
-        rows_seen = []
-        for j in range(n):
-            vec = [QV_ZERO] * self.dim
-            vec[off + j] = QV_ONE
-            img = self.apply_generator(s, self.apply_generator(s, vec))
-            col = [img[off + r] - vec[off + r] for r in range(n)]
-            pre = [QV_ZERO] * n
-            pre[j] = QV_ONE
-            for pr, pcol, ppre in rows_seen:
-                f = col[pr]
-                if f:
-                    col = [a - f * b for a, b in zip(col, pcol)]
-                    pre = [a - f * b for a, b in zip(pre, ppre)]
-            pivot = next((r for r, a in enumerate(col) if a), None)
-            if pivot is not None:
-                inv = col[pivot].inv()
-                col = [a * inv for a in col]
-                pre = [a * inv for a in pre]
-                rows_seen.append((pivot, col, pre))
-        return rows_seen
+        """Echelonized image of Phi_s^2 - 1 on one orbit block, with preimages.
 
-    def _solve_image(self, s: int, rhs: Sequence[Qv]):
-        """Solve (Phi_s^2 - 1) x = rhs; None when rhs is outside the image."""
-        x = self.zero_vector()
-        res = list(rhs)
-        for oi in range(len(self.kl.algebras)):
-            off = self.offsets[oi]
-            n = self.block_dims[oi]
-            for pr, col, pre in self._solver(oi, s):
-                f = res[off + pr]
-                if f:
-                    for r in range(n):
-                        if col[r]:
-                            res[off + r] = res[off + r] - f * col[r]
-                        if pre[r]:
-                            x[off + r] = x[off + r] + f * pre[r]
-        if any(a for a in res):
-            return None
+        Fraction-free over Z[v, v^-1]: a row (pivot, col, pre, d) has
+        (Phi_s^2 - 1) pre = col and col[pivot] = d, a unit pivot scaled to
+        1 (``linalg.echelon_row``).
+        """
+        n = self.block_dims[oi]
+        gen = self._gen_cols[oi][s]
+        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        rows = []
+        for j in range(n):
+            col = [zero] * n
+            for r, c in gen[j]:
+                for r2, c2 in gen[r]:
+                    col[r2] = col[r2] + c * c2
+            col[j] = col[j] - one
+            pre = [zero] * n
+            pre[j] = one
+            row = echelon_row(*reduce_pair(col, pre, rows)[:2])
+            if row is not None:
+                rows.append(row)
+        return rows
+
+    def _solve_image(self, s: int, rhs: List[LaurentPoly], den: LaurentPoly):
+        """Solve (Phi_s^2 - 1) x = rhs / den; None when rhs is outside the image.
+
+        Eliminates blockwise over Z[v, v^-1] down to (Phi_s^2 - 1) y =
+        sigma * rhs, sigma from ``reduce_pair``; only x = y / (sigma * den)
+        is formed in Q(v).
+        """
+        x = []
+        for oi, n in enumerate(self.block_dims):
+            res = rhs[self.offsets[oi] : self.offsets[oi] + n]
+            if not any(res):
+                x.extend([QV_ZERO] * n)
+                continue
+            # reduce_pair keeps res = sigma * rhs + (Phi_s^2 - 1) negx
+            res, negx, sigma = reduce_pair(res, [LaurentPoly.zero()] * n, self._solver(oi, s))
+            if any(res):
+                return None
+            x.extend(_over([-a for a in negx], sigma * den))
         return x
 
     def check_gluing(self, t: KTuple) -> List[dict]:
-        """Per-(s, w) membership reports with solver witnesses."""
+        """Per-(s, w) membership reports with solver witnesses.
+
+        Works on the numerators of t; witnesses are divided back by D.
+        """
         g = self.group
         out = []
         for s in range(g.rank):
             for w in range(g.size):
                 sw = g.lmul_id(s, w)
-                phi = self.apply_generator(s, t.get(w))
-                rhs = [a - b for a, b in zip(t.get(sw), phi)]
+                phi = self.apply_generator(s, t._c[w])
+                rhs = list(map(operator.sub, t._c[sw], phi))
                 if not any(rhs):
                     out.append(_greport(g, s, w, True, witness="0"))
                     continue
-                x = self._solve_image(s, rhs)
-                out.append(
-                    _greport(
-                        g,
-                        s,
-                        w,
-                        x is not None,
-                        witness=None if x is None else _render_vec(x),
-                    )
-                )
+                x = self._solve_image(s, rhs, t.den)
+                witness = None if x is None else _render_vec(x)
+                out.append(_greport(g, s, w, x is not None, witness=witness))
         return out
 
     def gluing_ok(self, t: KTuple) -> bool:
@@ -412,17 +431,14 @@ class KModule:
     def iota(self, t: KTuple) -> KTuple:
         g = self.group
         w0 = g.longest_id
-        comps = {
-            w: self.apply_element(w0, t.get(g.mul_id(w0, w)))
-            for w in range(g.size)
-        }
-        return KTuple(self, comps)
+        comps = [self.apply_element(w0, t._c[g.mul_id(w0, w)]) for w in range(g.size)]
+        return KTuple._of(self, comps, t.den)
 
     def iota_sq(self, t: KTuple) -> KTuple:
         """Double iota; must agree with the componentwise full twist."""
         out = self.iota(self.iota(t))
         for w in range(self.group.size):
-            if list(out.get(w)) != self.apply_fulltwist(t.get(w)):
+            if list(out._c[w]) != self.apply_fulltwist(t._c[w]):
                 raise IdentityFailure(
                     "iota^2 differs from the full twist at %s"
                     % self.group.elements[w].word_str
@@ -486,7 +502,7 @@ class KModule:
                     for r, val in enumerate(part):
                         if val:
                             ar = acc[r]
-                            for e, c in val.items():
+                            for e, c in val._c.items():
                                 ar[e] = ar.get(e, 0) + (c if sign > 0 else -c)
             lhs = [LaurentPoly(a) for a in acc]
             rhs = tab_k[y]
@@ -526,8 +542,8 @@ class KModule:
         mm = resolve_m(m, g)
         ptilde = annihilator_family(mm, tilde=True)
         pv, r = split_at_one(ptilde)
-        # over Z[v, v^-1]: comp = D a, and a0, a1 are divided back by D
-        comp, den = _clear_denominators(a.get(w) for w in range(g.size))
+        # over Z[v, v^-1]: comp = D a, and a0, a1 share a's denominator D
+        comp, den = a._c, a.den
         a0c = [self.apply_twist_poly(ptilde, vec) for vec in comp]
         a1c = []
         for vec in comp:
@@ -571,9 +587,7 @@ class KModule:
                     % g.elements[w].word_str
                 )
         cert["annihilated"] = "pass"
-        a0 = KTuple(self, {w: _over(vec, den) for w, vec in enumerate(a0c)})
-        a1 = KTuple(self, {w: _over(vec, den) for w, vec in enumerate(a1c)})
-        return a0, a1, cert
+        return KTuple._of(self, a0c, den), KTuple._of(self, a1c, den), cert
 
     def euclid_descent(self, a: KTuple, r: int, m=None) -> Tuple[BivarPoly, dict]:
         """Express p(v)^r a through (F - 1) a given Ptilde^r (F) a = 0.
@@ -586,7 +600,7 @@ class KModule:
         gW = self.group
         mm = resolve_m(m, gW)
         ptilde_r = annihilator_family(mm, tilde=True) ** r
-        comp, den = _clear_denominators(a.get(w) for w in range(gW.size))
+        comp, den = a._c, a.den
         for w in range(gW.size):
             res = self.apply_twist_poly(ptilde_r, comp[w])
             if any(res):
@@ -618,28 +632,31 @@ class KModule:
         g = self.group
         mm = resolve_m(m, g)
         coeffs: Dict[Tuple[int, int], Qv] = {}
-        for oi, alg in enumerate(self.kl.algebras):
+        comps = [a.get(y) for y in range(g.size)]
+        for oi, n in enumerate(self.block_dims):
             off = self.offsets[oi]
-            n = self.block_dims[oi]
+            # tabs[b][z] = Phi_z of the b-th basis vector, over Z[v, v^-1]
+            tabs = []
+            for b in range(n):
+                vec = [LaurentPoly.zero()] * self.dim
+                vec[off + b] = LaurentPoly.one()
+                tabs.append(self._all_images(vec))
             cols = []
             labels = []
             for w in range(g.size):
                 winv = g.inv_id(w)
                 for b in range(n):
-                    vec = [QV_ZERO] * self.dim
-                    vec[off + b] = QV_ONE
                     stacked = []
                     for y in range(g.size):
-                        img = self.apply_element(g.mul_id(y, winv), vec)
-                        stacked.extend(img[off + r] for r in range(n))
+                        img = tabs[b][g.mul_id(y, winv)][off : off + n]
+                        stacked.extend(Qv(x) if x else QV_ZERO for x in img)
                     cols.append(stacked)
                     labels.append((w, off + b))
             nrows = len(cols[0])
             rows = [[col[i] for col in cols] for i in range(nrows)]
             rhs = []
-            for y in range(g.size):
-                vec = a.get(y)
-                rhs.extend(vec[off + r] for r in range(n))
+            for vec in comps:
+                rhs.extend(vec[off : off + n])
             sol = solve_linear(rows, rhs)
             if sol is None:
                 return None

@@ -482,21 +482,20 @@ class KLAlgebra:
         z = self.full_twist()
         combined = [Qv(1)]
         for alg, proj in zip(self.algebras, z.projections):
-            images: List[OrbitHeckeElement] = []
+            # sparse integral columns of the twist: cols[i] = [(row, coeff)]
+            cols = []
             for eid in range(self.group.size):
                 for pidx in range(alg.orbit.size):
-                    images.append(alg.mul(proj, alg.basis(eid, pidx)))
-            vecs = [alg.element_to_vector(im) for im in images]
+                    im = alg.mul(proj, alg.basis(eid, pidx))
+                    cols.append([(alg.flat_index(e, p), c) for (e, p), c in im._t.items()])
             dim = alg.dim
 
-            def apply(vec, vecs=vecs, dim=dim):
-                out = [QV_ZERO] * dim
-                for i, c in enumerate(vec):
+            def apply(vec, cols=cols, dim=dim):
+                out = [LaurentPoly.zero()] * dim
+                for c, col in zip(vec, cols):
                     if c:
-                        col = vecs[i]
-                        for r in range(dim):
-                            if col[r]:
-                                out[r] = out[r] + c * col[r]
+                        for r, x in col:
+                            out[r] = out[r] + c * x
                 return out
 
             combined = qpoly_lcm(combined, minpoly_operator(apply, dim))

@@ -1,8 +1,13 @@
-"""Exact linear algebra over the rational function field Q(v).
+"""Exact linear algebra over Z[v, v^-1] and its fraction field Q(v).
 
-Vectors are plain lists of Qv.  Univariate polynomials over Q(v) (used for
-annihilators of operators) are lists of Qv coefficients in ascending degree.
-Everything here is deterministic and exact.
+``reduce_pair`` and ``echelon_row`` eliminate fraction-free over
+Z[v, v^-1]; the gluing solver and the Krylov minimal polynomial use them,
+and only the monic minimal polynomial is divided into Q(v).
+``solve_linear`` takes and returns lists of Qv and stays in Q(v): on the
+15 systems of one ``split`` round, a fraction-free Bareiss version took
+9.3 s against 0.88 s, with the same answers (2-core VM, CPython 3.11).
+Univariate polynomials over Q(v) are lists of Qv coefficients in
+ascending degree.  Everything here is deterministic and exact.
 """
 
 from __future__ import annotations
@@ -118,51 +123,79 @@ def qpoly_lcm(p: Sequence[Qv], q: Sequence[Qv]) -> List[Qv]:
     return qpoly_normalize(quot)
 
 
-def _krylov_annihilator(apply_fn, vec: List[Qv]) -> List[Qv]:
-    # minimal monic polynomial killing vec under the operator
+def reduce_pair(u, w, rows):
+    """Clear u at the pivots of fraction-free rows, carrying w along.
+
+    Vectors are over Z[v, v^-1].  A row (piv, ru, rw, d) has ru[piv] = d.
+    At a nonzero entry f = u[piv] the pair becomes (u - q ru, w - q rw)
+    with q = f / d when d divides f, else (d u - f ru, d w - f rw).
+    Returns (u, w, sigma), sigma the product of the factors d applied.
+    """
+    one = LaurentPoly.one()
+    sigma = one
+    for piv, ru, rw, d in rows:
+        f = u[piv]
+        if not f:
+            continue
+        q = f if d == one else f.divide_exact(d)
+        if q is None:
+            sigma = sigma * d
+            u = [d * a - f * b if b else d * a for a, b in zip(u, ru)]
+            w = [d * a - f * b if b else d * a for a, b in zip(w, rw)]
+        else:
+            u = [a - q * b if b else a for a, b in zip(u, ru)]
+            w = [a - q * b if b else a for a, b in zip(w, rw)]
+    return u, w, sigma
+
+
+def echelon_row(u, w):
+    """The row (piv, u, w, d) of a reduced pair, d = u[piv] at its first
+    nonzero entry, or None when u is zero.  A unit pivot is scaled to 1."""
+    piv = next((i for i, a in enumerate(u) if a), None)
+    if piv is None:
+        return None
+    d = u[piv]
+    if d.is_unit:
+        inv = d ** -1
+        u = [inv * a for a in u]
+        w = [inv * a for a in w]
+        d = LaurentPoly.one()
+    return piv, u, w, d
+
+
+def _krylov_annihilator(apply_fn, vec: List[LaurentPoly]) -> List[Qv]:
+    """Monic minimal polynomial killing vec under the operator.
+
+    Fraction-free: a row (piv, r, comp, d) has r = comp(A) vec, r[piv] = d
+    and comp padded to degree dim.  Only the final comp is made monic.
+    """
     dim = len(vec)
-    rows = []  # (reduced vector, companion poly, pivot index)
+    rows = []
     cur = list(vec)
-    k = 0
-    while True:
-        r = list(cur)
-        comp = [QV_ZERO] * k + [QV_ONE]
-        for red, c, piv in rows:
-            if r[piv]:
-                f = r[piv]
-                r = [x - f * y for x, y in zip(r, red)]
-                comp = [
-                    (comp[i] if i < len(comp) else QV_ZERO)
-                    - f * (c[i] if i < len(c) else QV_ZERO)
-                    for i in range(max(len(comp), len(c)))
-                ]
-        piv = None
-        for i in range(dim):
-            if r[i]:
-                piv = i
-                break
-        if piv is None:
-            return qpoly_normalize(comp)
-        inv = r[piv].inv()
-        r = [x * inv for x in r]
-        comp = [x * inv for x in comp]
-        rows.append((r, comp, piv))
+    for k in range(dim + 1):
+        comp = [LaurentPoly.zero()] * (dim + 1)
+        comp[k] = LaurentPoly.one()
+        r, comp, _ = reduce_pair(cur, comp, rows)
+        row = echelon_row(r, comp)
+        if row is None:
+            return qpoly_normalize([Qv(c) for c in comp])
+        rows.append(row)
         cur = apply_fn(cur)
-        k += 1
-        assert k <= dim
+    raise AssertionError("Krylov space exceeds the dimension")
 
 
-def minpoly_operator(apply_fn: Callable[[List[Qv]], List[Qv]], dim: int) -> List[Qv]:
+def minpoly_operator(apply_fn: Callable[[list], list], dim: int) -> List[Qv]:
     """Minimal polynomial of a linear operator given by its action on vectors.
 
-    Returns monic coefficients over Q(v) in ascending degree.
+    The operator acts on vectors over Z[v, v^-1]; the result is monic, with
+    coefficients over Q(v) in ascending degree.
     """
     if dim == 0:
         return [QV_ONE]
     m: List[Qv] = []
     for i in range(dim):
-        e = [QV_ZERO] * dim
-        e[i] = QV_ONE
+        e = [LaurentPoly.zero()] * dim
+        e[i] = LaurentPoly.one()
         ann = _krylov_annihilator(apply_fn, e)
         m = qpoly_lcm(m, ann) if m else ann
         if len(m) - 1 == dim:

@@ -138,6 +138,8 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         c = dict(self._c)
         for e, x in other._c.items():
             y = c.get(e, 0) + x
@@ -155,6 +157,8 @@ class LaurentPoly:
     def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         c = dict(self._c)
         for e, x in other._c.items():
             y = c.get(e, 0) - x
@@ -270,23 +274,20 @@ class LaurentPoly:
         sd, g = _as_dense(d)
         if len(f) < len(g):
             return None
-        q = [Fraction(0)] * (len(f) - len(g) + 1)
-        rem = [Fraction(x) for x in f]
-        glead = g[-1]
-        for k in range(len(q) - 1, -1, -1):
-            coeff = rem[k + len(g) - 1] / glead
-            q[k] = coeff
-            if coeff:
-                for j, gx in enumerate(g):
-                    rem[k + j] -= coeff * gx
-        if any(rem):
-            return None
+        # long division in Z: a quotient coefficient outside Z means the
+        # quotient in Q[v], if any, is not integral, so stop there
         out: dict[int, int] = {}
-        for k, coeff in enumerate(q):
-            if coeff.denominator != 1:
+        glead = g[-1]
+        for k in range(len(f) - len(g), -1, -1):
+            coeff, r = divmod(f[k + len(g) - 1], glead)
+            if r:
                 return None
             if coeff:
-                out[k + sf - sd] = int(coeff)
+                out[k + sf - sd] = coeff
+                for j, gx in enumerate(g):
+                    f[k + j] -= coeff * gx
+        if any(f):
+            return None
         return LaurentPoly(out)
 
     # -- rendering ----------------------------------------------------------
@@ -571,11 +572,6 @@ class Qv:
     @property
     def is_polynomial(self) -> bool:
         return self.den == _ONE
-
-    def as_laurent(self) -> LaurentPoly:
-        if self.den != _ONE:
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
 
     def render(self) -> str:
         if self.den == _ONE:

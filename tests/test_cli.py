@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from klwb import cli
 from klwb.cli import RunConfig, ConfigError, main
 from klwb.k0model import KModule
 
@@ -33,6 +34,17 @@ def test_exit_two_on_config_errors(capsys):
     assert run(capsys, "verify", "braid", "--den", "0")[0] == 2
     assert run(capsys, "verify", "braid", "--m", "fast")[0] == 2
     assert run(capsys, "verify", "braid", "--threads", "0")[0] == 2
+
+
+def test_internal_error_is_exit_three(capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("solver\nexploded")
+
+    monkeypatch.setitem(cli.SUITES, "braid", broken)
+    rc, out = run(capsys, "verify", "braid", "--type", "A1")
+    assert rc == 3
+    assert out.out == ""
+    assert out.err == "internal error: RuntimeError: solver exploded\n"
 
 
 def test_usage_error_is_exit_two(capsys):

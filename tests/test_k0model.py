@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from klwb.k0model import (
     _render_vec,
     resolve_m,
 )
+from klwb import linalg
 from klwb.klalgebra import KLAlgebra
 from klwb.rings import LaurentPoly, Qv, annihilator_family, p_poly
 
@@ -118,6 +121,84 @@ def test_tuple_arithmetic_and_serialization():
         KTuple(M, {0: [Qv(1)]})
     with pytest.raises(TypeError):
         KTuple(M, {0: ["x"] * M.dim})
+
+
+def test_tuple_equality_and_hash_ignore_the_denominator():
+    M = KModule.for_type("A1", 2)
+    t = M.random_free_combination(random.Random(4), 2)
+    c = lp({0: 1, 2: 1})
+    u = t.scale(Qv(1, c)).scale(c)
+    # the same values stored over D = 1 + v^2 instead of D = 1
+    assert t.den == LaurentPoly.one() and u.den == c
+    assert u == t and hash(u) == hash(t)
+    assert t.scale(Qv(c, c)) == t and hash(t.scale(Qv(c, c))) == hash(t)
+    assert [u.get(w) for w in range(M.group.size)] == [
+        t.get(w) for w in range(M.group.size)
+    ]
+    assert (u - t).is_zero and u + t == t.scale(2)
+    assert u != t.scale(Qv(1, c))
+    assert u.to_json() == t.to_json()
+
+
+# sha256 of json.dumps(check_gluing(...), sort_keys=True), taken before the
+# solver and the tuples moved from Q(v) to Z[v, v^-1]
+GLUING_REPORT_SHA256 = {
+    "pass": "849f9908102b2c833806acb36362734c4e8ad79f4f927bf9aeb60c24a6a796d6",
+    "fail": "400b47620fbc095bf491c83aa25cfd3dd178a7d18467054a49621b64de503c05",
+    "scaled": "9ff0023552fc4e6bd9ebf3c354387f37d5c128bc7529a9ae157e95f3b401c0f1",
+}
+
+
+def test_gluing_reports_pinned():
+    M = KModule.for_type("A2", 2)
+    # a free combination plus the constant tuple on the trivial orbit's
+    # block, whose witnesses need 1 / (v^2 - 1), so the solver must scale
+    oi = M.kl.orbit_index(parse_point("0,0"))
+    block = range(M.offsets[oi], M.offsets[oi] + M.block_dims[oi])
+    unit = [x if i in block else 0 for i, x in enumerate(M.unit_vector())]
+    t = M.random_free_combination(random.Random(7), 2) + M.constant_tuple(unit)
+    fixtures = {
+        "pass": t,
+        "fail": t + M.tuple_from({1: M.basis_vector(M.offsets[1])}),
+        "scaled": t.scale(Qv(1, lp({0: 1, 2: 1}))),
+    }
+    for name, tup in fixtures.items():
+        rep = M.check_gluing(tup)
+        assert any(r["status"] == "fail" for r in rep) == (name == "fail")
+        text = json.dumps(rep, sort_keys=True)
+        assert "/ (-1 + v^" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == GLUING_REPORT_SHA256[name]
+
+
+def test_minpoly_operator_non_unit_pivot(monkeypatch):
+    # columns A e0 = (0, 1 + v^2, 1), A e1 = (0, 0, 1), A e2 = (0, 1, v):
+    # the Krylov vector A e0 leaves the pivot 1 + v^2, and A^2 e0 meets it
+    # with the entry 1, so the reduction must scale by 1 + v^2
+    cols = [
+        [lp({}), lp({0: 1, 2: 1}), lp({0: 1})],
+        [lp({}), lp({}), lp({0: 1})],
+        [lp({}), lp({0: 1}), lp({1: 1})],
+    ]
+
+    def apply(vec):
+        out = [LaurentPoly.zero()] * 3
+        for c, col in zip(vec, cols):
+            out = [o + c * x for o, x in zip(out, col)]
+        return out
+
+    sigmas = []
+    orig = linalg.reduce_pair
+
+    def traced(u, w, rows):
+        out = orig(u, w, rows)
+        sigmas.append(out[2])
+        return out
+
+    monkeypatch.setattr(linalg, "reduce_pair", traced)
+    mp = linalg.minpoly_operator(apply, 3)
+    assert lp({0: 1, 2: 1}) in sigmas
+    # pinned from the Q(v) elimination: x^3 - v x^2 - x
+    assert [c.render() for c in mp] == ["0", "-1", "-v", "1"]
 
 
 def test_free_tuples_satisfy_gluing():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from klwb.rings import (
     divides_p_power,
     divmod_x,
     gcd_laurent,
+    localized_reduce,
     p_poly,
     split_at_one,
 )
@@ -303,6 +305,49 @@ def test_gcd_laurent():
     assert g == binom(2) or g == -binom(2)
 
 
+def test_laurent_plus_minus_qv_both_orders():
+    a = lp({0: 1, 2: 1})
+    x = Qv(ONE, binom(1))
+    assert ONE + Qv(1) == Qv(1) + ONE == Qv(2)
+    assert a + x == x + a == Qv(a * binom(1) + ONE, binom(1))
+    assert a - x == Qv(a * binom(1) - ONE, binom(1))
+    assert x - a == -(a - x)
+    assert ONE - Qv(1) == Qv(1) - ONE == Qv(0)
+
+
+def fraction_divide(f: LaurentPoly, g: LaurentPoly):
+    """f / g in Z[v, v^-1] by long division over Q, or None: a reference
+    for LaurentPoly.divide_exact that keeps every step in Fraction."""
+    fc, gc = dict(f.items()), dict(g.items())
+    if not fc:
+        return {}
+    flo, glo = min(fc), min(gc)
+    rem = [Fraction(fc.get(e, 0)) for e in range(flo, max(fc) + 1)]
+    div = [gc.get(e, 0) for e in range(glo, max(gc) + 1)]
+    if len(rem) < len(div):
+        return None
+    quo = {}
+    for k in range(len(rem) - len(div), -1, -1):
+        c = rem[k + len(div) - 1] / div[-1]
+        if c:
+            quo[k + flo - glo] = c
+            for j, d in enumerate(div):
+                rem[k + j] -= c * d
+    if any(rem) or any(c.denominator != 1 for c in quo.values()):
+        return None
+    return {e: int(c) for e, c in quo.items()}
+
+
+def test_divide_exact_non_integral_quotients():
+    assert ONE.divide_exact(lp({0: 2})) is None
+    assert lp({0: 2, 1: 2}).divide_exact(lp({0: 2})) == lp({0: 1, 1: 1})
+    # (v^2 - 1) / (2v - 2) = (v + 1) / 2: exact over Q, not over Z
+    assert lp({0: -1, 2: 1}).divide_exact(lp({0: -2, 1: 2})) is None
+    assert lp({0: 1, 2: 1}).divide_exact(lp({0: 1, 1: 1})) is None
+    for f, g in ((ONE, lp({0: 2})), (lp({0: -1, 2: 1}), lp({0: -2, 1: 2}))):
+        assert fraction_divide(f, g) is None
+
+
 # -- properties (hypothesis) ------------------------------------------------
 
 laurent = st.dictionaries(
@@ -374,3 +419,53 @@ def test_qv_field_axioms(x, y, z):
     if not x.is_zero:
         assert x * x.inv() == one
         assert (y / x) * x == y
+
+
+def _as_dict(q):
+    return None if q is None else dict(q.items())
+
+
+@props
+@given(laurent, nonzero_laurent)
+def test_divide_exact_on_multiples(a, b):
+    assert (a * b).divide_exact(b) == a
+    assert _as_dict((a * b).divide_exact(b)) == fraction_divide(a * b, b)
+
+
+@props
+@given(laurent, nonzero_laurent, st.integers(-3, 3).filter(lambda k: k not in (0, 1, -1)))
+def test_divide_exact_matches_fraction_reference(a, b, k):
+    # a * b / (k * b) is integral exactly when k divides every coefficient
+    # of a; a / b alone is usually not exact at all
+    for f, g in ((a * b, b * k), (a, b)):
+        assert _as_dict(f.divide_exact(g)) == fraction_divide(f, g)
+
+
+bivar = st.lists(laurent, max_size=4).map(BivarPoly)
+monic_up_to_unit = st.builds(
+    lambda cs, u: BivarPoly(tuple(cs) + (u,)), st.lists(laurent, max_size=3), units
+)
+
+
+@props
+@given(bivar, monic_up_to_unit)
+def test_divmod_x_identity(f, g):
+    q, r = divmod_x(f, g)
+    assert q * g + r == f
+    assert r.degree < g.degree
+
+
+binomials = st.lists(
+    st.sampled_from([binom(1), binom(2), binom(3), lp({0: 1, 2: 1})]), max_size=3
+)
+
+
+@props
+@given(laurent, binomials, st.dictionaries(st.integers(1, 3), st.integers(0, 2), max_size=3))
+def test_localized_reduction_idempotent(a, factors, den):
+    num = a
+    for f in factors:
+        num = num * f
+    x = LocalizedScalar(num, den)
+    assert localized_reduce(x) == x
+    assert LocalizedScalar(x.num, x.den) == x
