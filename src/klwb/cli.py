@@ -7,9 +7,9 @@ a documented expectation and does not affect the exit code.  Exit codes:
 0 every check passed (findings allowed); 1 at least one check failed (its
 witness is in the report); 2 usage or configuration error; 3 internal error,
 an unexpected exception, reported on stderr as "internal error: <type>:
-<message>" on one line.  Work fans out over a thread pool when requested,
-but results are merged in submission order, so the bytes emitted do not
-depend on the thread count.
+<message>" on one line.  ``--threads`` (or KLWB_THREADS) is accepted and
+validated, but every command runs serially: CPU-bound pure Python on a
+thread pool gained nothing, so the bytes emitted cannot depend on it.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from .charpoints import (
     NEGATIVE_V2,
@@ -84,8 +83,8 @@ class RunConfig:
             raise ConfigError("unsupported type %r: %s" % (self.cartan_type, e))
 
     def to_json(self) -> dict:
-        # threads and output mode steer execution, not content; leaving
-        # them out keeps reports byte-identical across thread counts
+        # threads and output mode do not change content; leaving them
+        # out keeps reports byte-identical across thread counts
         return {
             "cartan_type": self.cartan_type,
             "orbit_denominator_bound": self.orbit_denominator_bound,
@@ -106,18 +105,6 @@ def _from_module_report(rep: dict) -> dict:
     if rep.get("detail"):
         detail += " " + rep["detail"]
     return _entry(rep["check"], rep["status"], detail, rep.get("witness"))
-
-
-def _chunks(cfg: RunConfig, tasks: List[Callable[[], List[dict]]]) -> List[List[dict]]:
-    """Run tasks, possibly on a pool; collect in submission order."""
-    if cfg.threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(lambda f: f(), tasks))
-    return [f() for f in tasks]
-
-
-def _fanout(cfg: RunConfig, tasks: List[Callable[[], List[dict]]]) -> List[dict]:
-    return [r for chunk in _chunks(cfg, tasks) for r in chunk]
 
 
 def _sparse_vector(M: KModule, rng: random.Random) -> List[LaurentPoly]:
@@ -149,8 +136,7 @@ def _suite_cubic(cfg: RunConfig) -> List[dict]:
             out.append(e)
         return out
 
-    tasks = [lambda s=s: one(s) for s in range(kl.group.rank)]
-    return _fanout(cfg, tasks)
+    return [e for s in range(kl.group.rank) for e in one(s)]
 
 
 def _suite_w0(cfg: RunConfig) -> List[dict]:
@@ -194,9 +180,9 @@ def _suite_canonical(cfg: RunConfig) -> List[dict]:
     M = KModule.for_type(cfg.cartan_type, cfg.orbit_denominator_bound)
     rng = random.Random(cfg.seed)
     vecs = [_sparse_vector(M, rng) for _ in range(N_CANONICAL)]
-    tasks = [lambda v=v: M.canonical_identity(v) for v in vecs]
     out = []
-    for i, reports in enumerate(_chunks(cfg, tasks)):
+    for i, v in enumerate(vecs):
+        reports = M.canonical_identity(v)
         bad = [r for r in reports if r["status"] != "pass"]
         if not bad:
             out.append(
@@ -224,9 +210,9 @@ def _suite_gluing(cfg: RunConfig) -> List[dict]:
     M = KModule.for_type(cfg.cartan_type, cfg.orbit_denominator_bound)
     rng = random.Random(cfg.seed)
     tuples = [M.random_free_combination(rng, 3) for _ in range(N_GLUING)]
-    tasks = [lambda t=t: M.check_gluing(t) for t in tuples]
     out = []
-    for i, reports in enumerate(_chunks(cfg, tasks)):
+    for i, t in enumerate(tuples):
+        reports = M.check_gluing(t)
         bad = [r for r in reports if r["status"] != "pass"]
         if not bad:
             out.append(
@@ -365,8 +351,7 @@ def _suite_chevalley(cfg: RunConfig) -> List[dict]:
             )
         return rows
 
-    tasks = [lambda o=o: one(o) for o in orbits]
-    return _fanout(cfg, tasks)
+    return [r for o in orbits for r in one(o)]
 
 
 def _scalar_str(sc) -> str:
@@ -376,19 +361,24 @@ def _scalar_str(sc) -> str:
     return "%sv^%d" % ("-" if sign < 0 else "", exp)
 
 
-def _suite_cells(cfg: RunConfig) -> List[dict]:
-    W = build_weyl(cfg.cartan_type)
+def _cell_scalars(W):
+    """Yield (index, cell, std, ly): the full twist's scalar on each
+    two-sided cell in the std and ly conventions."""
     H = hecke_algebra(W, STD)
     Hly = hecke_algebra(W, LY)
     dec = H.cells()
     ft = H.full_twist()
     ftly = Hly.full_twist()
+    for ci, cell in enumerate(dec.two_sided):
+        yield ci, cell, H.cell_scalar(ft, ci), Hly.cell_scalar(ftly, ci)
+
+
+def _suite_cells(cfg: RunConfig) -> List[dict]:
+    W = build_weyl(cfg.cartan_type)
     lw0 = W.lengths[W.longest_id]
     out = []
     dvals = []
-    for ci, cell in enumerate(dec.two_sided):
-        std = H.cell_scalar(ft, ci)
-        ly = Hly.cell_scalar(ftly, ci)
+    for ci, cell, std, ly in _cell_scalars(W):
         ok = std is not None and ly is not None
         if ly is not None:
             dvals.append(ly[1])
@@ -445,16 +435,8 @@ def _dump_cells(cfg: RunConfig) -> List[dict]:
 
 
 def _dump_fulltwist_scalars(cfg: RunConfig) -> List[dict]:
-    W = build_weyl(cfg.cartan_type)
-    H = hecke_algebra(W, STD)
-    Hly = hecke_algebra(W, LY)
-    dec = H.cells()
-    ft = H.full_twist()
-    ftly = Hly.full_twist()
     out = []
-    for ci, cell in enumerate(dec.two_sided):
-        std = H.cell_scalar(ft, ci)
-        ly = Hly.cell_scalar(ftly, ci)
+    for ci, cell, std, ly in _cell_scalars(build_weyl(cfg.cartan_type)):
         out.append(
             _entry(
                 "fulltwist_scalars",

@@ -9,13 +9,19 @@ linked by the algebra isomorphism sending the ly generator to -v times the
 inverse of the std generator.  The carrier can be a WeylGroup or a
 SubsystemGroup; only the shared table interface is used, so cells, scalars
 and minimal polynomials work intrinsically inside reflection subgroups.
+
+``HeckeElement`` is the one sparse element type, also of the orbit algebras
+in ``klalgebra``, and ``lmul_gen`` the one left-multiply-by-T_s kernel.  On a
+descent it applies a quadratic rule per term: STD_RULE in std; LY_RULE in ly
+and in orbit blocks whose W_L contains s; FREE_RULE (T_s^2 = 1) elsewhere.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import operator
+from typing import Dict, List, Optional, Tuple
 
-from .linalg import minpoly_operator, qpoly_to_bivar
+from .linalg import minpoly_operator, qpoly_to_bivar, sparse_operator
 from .rings import BivarPoly, LaurentPoly
 
 STD = "std"
@@ -25,6 +31,12 @@ _ONE = LaurentPoly.one()
 _V = LaurentPoly.monomial(1)
 _VINV = LaurentPoly.monomial(-1)
 _V2 = LaurentPoly.monomial(2)
+
+# quadratic rules (qa, qb) on a descent: T_s^2 = qa + qb T_s; FREE_RULE
+# is T_s^2 = 1, with None for the absent T_s term
+STD_RULE = (_ONE, _VINV - _V)
+LY_RULE = (_V2, _ONE - _V2)
+FREE_RULE = (_ONE, None)
 
 
 class ConventionMismatch(ValueError):
@@ -36,13 +48,19 @@ class NotCentral(ValueError):
 
 
 class HeckeElement:
-    """Sparse combination of standard basis elements T_w."""
+    """Sparse combination of basis elements of a Hecke-type algebra.
+
+    Keys are the algebra's basis indices: element ids here, (element id,
+    point index) pairs for ``klalgebra.OrbitHeckeElement``.  The algebra
+    supplies the product (``mul``), the error for mixed operands
+    (``mismatch``) and the labels of a key (``key_labels``).
+    """
 
     __slots__ = ("algebra", "_t")
 
-    def __init__(self, algebra, terms: Dict[int, LaurentPoly]):
+    def __init__(self, algebra, terms):
         self.algebra = algebra
-        self._t = {e: c for e, c in terms.items() if not c.is_zero}
+        self._t = {k: c for k, c in terms.items() if not c.is_zero}
 
     @property
     def terms(self):
@@ -63,46 +81,38 @@ class HeckeElement:
 
     def _check(self, other: "HeckeElement"):
         if other.algebra is not self.algebra:
-            if other.algebra.group is not self.algebra.group:
-                raise ConventionMismatch("elements over different carriers")
-            raise ConventionMismatch(
-                "cannot mix %s and %s conventions"
-                % (self.algebra.convention, other.algebra.convention)
-            )
+            raise self.algebra.mismatch(other.algebra)
+
+    def _combine(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        out = dict(self._t)
+        for k, c in other._t.items():
+            out[k] = op(out.get(k, LaurentPoly.zero()), c)
+        return type(self)(self.algebra, out)
 
     def __add__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._t)
-        for e, c in other._t.items():
-            out[e] = out.get(e, LaurentPoly.zero()) + c
-        return HeckeElement(self.algebra, out)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._t)
-        for e, c in other._t.items():
-            out[e] = out.get(e, LaurentPoly.zero()) - c
-        return HeckeElement(self.algebra, out)
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
-        return HeckeElement(self.algebra, {e: -c for e, c in self._t.items()})
+        return type(self)(self.algebra, {k: -c for k, c in self._t.items()})
 
     def scale(self, c) -> "HeckeElement":
         if isinstance(c, int):
             c = LaurentPoly.const(c)
-        return HeckeElement(self.algebra, {e: c * p for e, p in self._t.items()})
+        return type(self)(self.algebra, {k: c * p for k, p in self._t.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             return self.scale(other)
-        if not isinstance(other, HeckeElement):
+        if type(other) is not type(self):
             return NotImplemented
         self._check(other)
-        return self.algebra.t_mul(self, other)
+        return self.algebra.mul(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -122,23 +132,46 @@ class HeckeElement:
     def render(self) -> str:
         if not self._t:
             return "0"
-        g = self.algebra.group
         bits = []
-        for e in sorted(self._t):
-            word = "".join(str(i + 1) for i in g.words[e]) or "e"
-            bits.append("(%s)*T[%s]" % (self._t[e].render(), word))
+        for k in sorted(self._t):
+            key = "".join("%s[%s]" % t for t in zip("T1", self.algebra.key_labels(k)))
+            bits.append("(%s)*%s" % (self._t[k].render(), key))
         return " + ".join(bits)
 
     def to_json(self):
-        g = self.algebra.group
-        out = []
-        for e in sorted(self._t):
-            word = "".join(str(i + 1) for i in g.words[e]) or "e"
-            out.append([word, self._t[e].render()])
-        return out
+        return [
+            self.algebra.key_labels(k) + [self._t[k].render()] for k in sorted(self._t)
+        ]
 
     def __repr__(self):
-        return "Hecke<%s>(%s)" % (self.algebra.convention, self.render())
+        return "%r(%s)" % (self.algebra, self.render())
+
+
+def word_label(group, eid: int) -> str:
+    """A group element's canonical word as digits, "e" for the identity."""
+    return "".join(str(i + 1) for i in group.words[eid]) or "e"
+
+
+def lmul_gen(
+    group, s: int, terms: Dict[int, LaurentPoly], rules
+) -> Dict[int, LaurentPoly]:
+    """Left multiplication by T_s on a sparse combination {eid: coeff}.
+
+    On a descent (sw shorter than w), T_s T_w = qa T_sw + qb T_w with
+    (qa, qb) = rules[w]: STD_RULE, LY_RULE or FREE_RULE (T_s^2 = 1).
+    """
+    lengths = group.lengths
+    out: Dict[int, LaurentPoly] = {}
+    for eid, c in terms.items():
+        j = group.lmul_id(s, eid)
+        if lengths[j] < lengths[eid] and rules[eid][1] is not None:
+            qa, qb = rules[eid]
+            out[j] = out.get(j, LaurentPoly.zero()) + qa * c
+            out[eid] = out.get(eid, LaurentPoly.zero()) + qb * c
+        else:
+            # an ascent, or a descent where T_s^2 = 1: T_s T_w = T_sw
+            out[j] = out.get(j, LaurentPoly.zero()) + c
+    return out
 
 
 def _algebra_cache(group) -> dict:
@@ -167,17 +200,26 @@ class HeckeAlgebra:
     def __init__(self, group, convention: str):
         self.group = group
         self.convention = convention
-        # quadratic relation: T_s^2 = qa + qb * T_s on length drop
-        if convention == STD:
-            self._qa = _ONE
-            self._qb = _VINV - _V
-        else:
-            self._qa = _V2
-            self._qb = _ONE - _V2
+        # one rule for every element: lmul_gen looks it up per term
+        self._rules = (STD_RULE if convention == STD else LY_RULE,) * group.size
         self._kl: Dict[int, HeckeElement] = {}
         self._inv_basis: Dict[int, HeckeElement] = {}
         self._convert: Dict[str, Dict[int, HeckeElement]] = {}
         self._cells: Optional[CellDecomposition] = None
+
+    def __repr__(self):
+        return "Hecke<%s>" % self.convention
+
+    def mismatch(self, other) -> ConventionMismatch:
+        """The error for combining this algebra's elements with other's."""
+        if other.group is not self.group:
+            return ConventionMismatch("elements over different carriers")
+        return ConventionMismatch(
+            "cannot mix %s and %s conventions" % (self.convention, other.convention)
+        )
+
+    def key_labels(self, eid: int) -> List[str]:
+        return [word_label(self.group, eid)]
 
     # -- constructors ------------------------------------------------------
 
@@ -205,19 +247,6 @@ class HeckeAlgebra:
 
     # -- multiplication ------------------------------------------------------
 
-    def _lmul_gen(self, i: int, terms: Dict[int, LaurentPoly]) -> Dict[int, LaurentPoly]:
-        g = self.group
-        out: Dict[int, LaurentPoly] = {}
-        for eid, c in terms.items():
-            j = g.lmul_id(i, eid)
-            if g.lengths[j] > g.lengths[eid]:
-                out[j] = out.get(j, LaurentPoly.zero()) + c
-            else:
-                # T_s T_w = qa * T_{sw} + qb * T_w when sw is shorter
-                out[j] = out.get(j, LaurentPoly.zero()) + self._qa * c
-                out[eid] = out.get(eid, LaurentPoly.zero()) + self._qb * c
-        return out
-
     def t_mul(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         if a.algebra is not self or b.algebra is not self:
             a._check(b)
@@ -228,10 +257,12 @@ class HeckeAlgebra:
         for eid, c in a._t.items():
             cur = dict(b._t)
             for i in reversed(g.words[eid]):
-                cur = self._lmul_gen(i, cur)
+                cur = lmul_gen(g, i, cur, self._rules)
             for k, p in cur.items():
                 acc[k] = acc.get(k, LaurentPoly.zero()) + c * p
         return HeckeElement(self, acc)
+
+    mul = t_mul
 
     def basis_inverse(self, w) -> HeckeElement:
         """The inverse of T_w."""
@@ -411,17 +442,8 @@ class HeckeAlgebra:
         if z.algebra is not self:
             raise ConventionMismatch("element from another algebra")
         n = self.group.size
-        images = [self.t_mul(self.basis(eid), z) for eid in range(n)]
-
-        def apply(vec):
-            out = [LaurentPoly.zero()] * n
-            for i, c in enumerate(vec):
-                if c:
-                    for eid, p in images[i]._t.items():
-                        out[eid] = out[eid] + c * p
-            return out
-
-        return qpoly_to_bivar(minpoly_operator(apply, n))
+        cols = [list(self.t_mul(self.basis(eid), z)._t.items()) for eid in range(n)]
+        return qpoly_to_bivar(minpoly_operator(sparse_operator(cols, n), n))
 
 
 def convert_convention(a: HeckeElement, to: str) -> HeckeElement:
@@ -639,7 +661,4 @@ class CellDecomposition:
 
     def to_json(self):
         g = self.group
-        return [
-            ["".join(str(i + 1) for i in g.words[e]) or "e" for e in comp]
-            for comp in self._two_ids
-        ]
+        return [[word_label(g, e) for e in comp] for comp in self._two_ids]

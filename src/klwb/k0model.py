@@ -221,33 +221,8 @@ class KModule:
         self._twist_cols: List[List[List[Tuple[int, LaurentPoly]]]] = []
         twist = kl.full_twist()
         for oi, alg in enumerate(kl.algebras):
-            per_s = []
-            for s in range(W.rank):
-                gen = kl._gens[s][oi]
-                cols = []
-                for eid in range(W.size):
-                    for pidx in range(alg.orbit.size):
-                        prod = alg.mul(gen, alg.basis(eid, pidx))
-                        cols.append(
-                            [
-                                (alg.flat_index(e, p), c)
-                                for (e, p), c in sorted(prod._t.items())
-                            ]
-                        )
-                per_s.append(cols)
-            self._gen_cols.append(per_s)
-            zc = []
-            zproj = twist.projections[oi]
-            for eid in range(W.size):
-                for pidx in range(alg.orbit.size):
-                    prod = alg.mul(zproj, alg.basis(eid, pidx))
-                    zc.append(
-                        [
-                            (alg.flat_index(e, p), c)
-                            for (e, p), c in sorted(prod._t.items())
-                        ]
-                    )
-            self._twist_cols.append(zc)
+            self._gen_cols.append([alg.columns(kl._gens[s][oi]) for s in range(W.rank)])
+            self._twist_cols.append(alg.columns(twist.projections[oi]))
         self._solvers: Dict[Tuple[int, int], list] = {}
         self._solver_lock = threading.Lock()
 

@@ -3,7 +3,9 @@
 For one W-orbit o of character points, H_o carries orthogonal idempotents
 1_L, one per point, with T_w 1_L = 1_{wL} T_w and a per-block quadratic
 rule: T_s^2 1_L is the ly quadratic when s lies in the reflection subgroup
-of L, and plain 1_L otherwise.  The signed generators
+of L, and plain 1_L otherwise.  Its elements are ``hecke.HeckeElement``s
+keyed (element id, point index); products run ``hecke.lmul_gen`` within one
+idempotent column, with LY_RULE or FREE_RULE per block.  The signed generators
 
     a_s = sum over blocks of (+T_s 1_L if s in W_L, else -T_s 1_L)
 
@@ -18,8 +20,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .charpoints import OrbitData, act_generator, orbit_set, pairing
-from .hecke import LY, hecke_algebra
-from .linalg import bivar_divides, minpoly_operator, qpoly_lcm, qpoly_to_bivar
+from .hecke import FREE_RULE, LY, LY_RULE, HeckeElement, hecke_algebra, lmul_gen, word_label
+from .linalg import bivar_divides, minpoly_operator, qpoly_lcm, qpoly_to_bivar, sparse_operator
 from .rings import (
     BivarPoly,
     LaurentPoly,
@@ -30,21 +32,16 @@ from .rings import (
 
 _ONE = LaurentPoly.one()
 _V2 = LaurentPoly.monomial(2)
-_ONE_MINUS_V2 = _ONE - _V2
 
 
 class OrbitMismatch(ValueError):
     """Operands live over different orbits or orbit families."""
 
 
-class OrbitHeckeElement:
-    """Sparse combination of T_w 1_L over one orbit."""
+class OrbitHeckeElement(HeckeElement):
+    """Sparse combination of T_w 1_L over one orbit, keyed (eid, point index)."""
 
-    __slots__ = ("algebra", "_t")
-
-    def __init__(self, algebra: "OrbitAlgebra", terms: Dict[Tuple[int, int], LaurentPoly]):
-        self.algebra = algebra
-        self._t = {k: c for k, c in terms.items() if not c.is_zero}
+    __slots__ = ()
 
     @property
     def terms(self):
@@ -52,10 +49,6 @@ class OrbitHeckeElement:
         els = self.algebra.group.elements
         pts = self.algebra.orbit.points
         return {(els[e], pts[p]): c for (e, p), c in self._t.items()}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._t
 
     def coefficient(self, w, point) -> LaurentPoly:
         eid = w if isinstance(w, int) else self.algebra.group.id_of(w)
@@ -68,84 +61,6 @@ class OrbitHeckeElement:
         return OrbitHeckeElement(
             self.algebra, {k: c for k, c in self._t.items() if k[1] == pidx}
         )
-
-    def _check(self, other: "OrbitHeckeElement"):
-        if other.algebra is not self.algebra:
-            raise OrbitMismatch("elements over different orbit algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, OrbitHeckeElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._t)
-        for k, c in other._t.items():
-            out[k] = out.get(k, LaurentPoly.zero()) + c
-        return OrbitHeckeElement(self.algebra, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, OrbitHeckeElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._t)
-        for k, c in other._t.items():
-            out[k] = out.get(k, LaurentPoly.zero()) - c
-        return OrbitHeckeElement(self.algebra, out)
-
-    def __neg__(self):
-        return OrbitHeckeElement(self.algebra, {k: -c for k, c in self._t.items()})
-
-    def scale(self, c) -> "OrbitHeckeElement":
-        if isinstance(c, int):
-            c = LaurentPoly.const(c)
-        return OrbitHeckeElement(self.algebra, {k: c * p for k, p in self._t.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            return self.scale(other)
-        if not isinstance(other, OrbitHeckeElement):
-            return NotImplemented
-        self._check(other)
-        return self.algebra.mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrbitHeckeElement)
-            and other.algebra is self.algebra
-            and other._t == self._t
-        )
-
-    def __hash__(self):
-        return hash((id(self.algebra), tuple(sorted(self._t.items()))))
-
-    def render(self) -> str:
-        if not self._t:
-            return "0"
-        g = self.algebra.group
-        pts = self.algebra.orbit.points
-        bits = []
-        for e, p in sorted(self._t):
-            word = "".join(str(i + 1) for i in g.words[e]) or "e"
-            bits.append(
-                "(%s)*T[%s]1[%s]" % (self._t[(e, p)].render(), word, pts[p].render())
-            )
-        return " + ".join(bits)
-
-    def to_json(self):
-        g = self.algebra.group
-        pts = self.algebra.orbit.points
-        out = []
-        for e, p in sorted(self._t):
-            word = "".join(str(i + 1) for i in g.words[e]) or "e"
-            out.append([word, pts[p].render(), self._t[(e, p)].render()])
-        return out
-
-    def __repr__(self):
-        return "OrbitHecke(%s)" % self.render()
 
 
 class OrbitAlgebra:
@@ -174,6 +89,25 @@ class OrbitAlgebra:
             gm = self._gen_move[s]
             moved.append([gm[q] for q in moved[rest]])
         self._moved = moved
+        # rules[pidx][s][eid]: the quadratic rule of T_s on T_eid 1_L, that
+        # of the block w L where T_eid 1_L lands
+        self._rules = [
+            [
+                [LY_RULE if self._in_wl[s][at[pidx]] else FREE_RULE for at in moved]
+                for s in range(W.rank)
+            ]
+            for pidx in range(npts)
+        ]
+
+    def __repr__(self):
+        return "OrbitHecke"
+
+    def mismatch(self, other) -> OrbitMismatch:
+        """The error for combining this algebra's elements with other's."""
+        return OrbitMismatch("elements over different orbit algebras")
+
+    def key_labels(self, key: Tuple[int, int]) -> List[str]:
+        return [word_label(self.group, key[0]), self.orbit.points[key[1]].render()]
 
     @property
     def dim(self) -> int:
@@ -202,26 +136,6 @@ class OrbitAlgebra:
         pidx = point if isinstance(point, int) else self.orbit.index_of(point)
         return self._moved[eid][pidx]
 
-    def _lmul_gen(self, s: int, terms: Dict[Tuple[int, int], LaurentPoly]):
-        """Multiply by plain T_s on the left."""
-        g = self.group
-        out: Dict[Tuple[int, int], LaurentPoly] = {}
-        for (eid, pidx), c in terms.items():
-            j = g.lmul_id(s, eid)
-            if g.lengths[j] > g.lengths[eid]:
-                key = (j, pidx)
-                out[key] = out.get(key, LaurentPoly.zero()) + c
-            elif self._in_wl[s][self._moved[eid][pidx]]:
-                # T_s^2 1_{wL} is the ly quadratic inside the block
-                kj, ke = (j, pidx), (eid, pidx)
-                out[kj] = out.get(kj, LaurentPoly.zero()) + _V2 * c
-                out[ke] = out.get(ke, LaurentPoly.zero()) + _ONE_MINUS_V2 * c
-            else:
-                # outside the kernel the square collapses: T_s^2 1_{wL} = 1_{wL}
-                key = (j, pidx)
-                out[key] = out.get(key, LaurentPoly.zero()) + c
-        return out
-
     def mul(self, a: OrbitHeckeElement, b: OrbitHeckeElement) -> OrbitHeckeElement:
         if a.algebra is not self or b.algebra is not self:
             raise OrbitMismatch("operands belong to another orbit algebra")
@@ -230,16 +144,29 @@ class OrbitAlgebra:
         by_point: Dict[int, List[Tuple[int, LaurentPoly]]] = {}
         for (eid, pidx), c in a._t.items():
             by_point.setdefault(pidx, []).append((eid, c))
+        # within the column of 1_m the point index stays fixed
         acc: Dict[Tuple[int, int], LaurentPoly] = {}
         for (u, m), cb in b._t.items():
-            target = self._moved[u][m]
-            for eid, ca in by_point.get(target, ()):
-                cur = {(u, m): cb}
+            rules = self._rules[m]
+            for eid, ca in by_point.get(self._moved[u][m], ()):
+                cur = {u: cb}
                 for s in reversed(g.words[eid]):
-                    cur = self._lmul_gen(s, cur)
+                    cur = lmul_gen(g, s, cur, rules[s])
                 for k, p in cur.items():
-                    acc[k] = acc.get(k, LaurentPoly.zero()) + ca * p
+                    acc[(k, m)] = acc.get((k, m), LaurentPoly.zero()) + ca * p
         return OrbitHeckeElement(self, acc)
+
+    def columns(self, el: OrbitHeckeElement) -> List[List[Tuple[int, LaurentPoly]]]:
+        """Sparse columns of left multiplication by el: column flat_index(eid,
+        pidx) lists (flat row, coeff) of el T_eid 1_pidx in ascending row."""
+        return [
+            [
+                (self.flat_index(e, p), c)
+                for (e, p), c in sorted(self.mul(el, self.basis(eid, pidx))._t.items())
+            ]
+            for eid in range(self.group.size)
+            for pidx in range(self.orbit.size)
+        ]
 
     def pi_generator(self, s: int) -> OrbitHeckeElement:
         """Projection of the signed generator a_s into this orbit."""
@@ -482,23 +409,8 @@ class KLAlgebra:
         z = self.full_twist()
         combined = [Qv(1)]
         for alg, proj in zip(self.algebras, z.projections):
-            # sparse integral columns of the twist: cols[i] = [(row, coeff)]
-            cols = []
-            for eid in range(self.group.size):
-                for pidx in range(alg.orbit.size):
-                    im = alg.mul(proj, alg.basis(eid, pidx))
-                    cols.append([(alg.flat_index(e, p), c) for (e, p), c in im._t.items()])
-            dim = alg.dim
-
-            def apply(vec, cols=cols, dim=dim):
-                out = [LaurentPoly.zero()] * dim
-                for c, col in zip(vec, cols):
-                    if c:
-                        for r, x in col:
-                            out[r] = out[r] + c * x
-                return out
-
-            combined = qpoly_lcm(combined, minpoly_operator(apply, dim))
+            apply = sparse_operator(alg.columns(proj), alg.dim)
+            combined = qpoly_lcm(combined, minpoly_operator(apply, alg.dim))
         mp = qpoly_to_bivar(combined)
         lw0 = self.group.lengths[self.group.longest_id]
         verdicts = {

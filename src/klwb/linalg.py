@@ -184,6 +184,20 @@ def _krylov_annihilator(apply_fn, vec: List[LaurentPoly]) -> List[Qv]:
     raise AssertionError("Krylov space exceeds the dimension")
 
 
+def sparse_operator(cols, dim: int) -> Callable[[list], list]:
+    """The operator on length-dim vectors whose column j is cols[j] = [(row, coeff)]."""
+
+    def apply(vec):
+        out = [LaurentPoly.zero()] * dim
+        for c, col in zip(vec, cols):
+            if c:
+                for r, x in col:
+                    out[r] = out[r] + c * x
+        return out
+
+    return apply
+
+
 def minpoly_operator(apply_fn: Callable[[list], list], dim: int) -> List[Qv]:
     """Minimal polynomial of a linear operator given by its action on vectors.
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -454,3 +455,58 @@ def test_element_arithmetic():
     assert (lp({1: 1}) * a).coefficient(W.gens[0]) == lp({1: 1})
     assert a.coefficient(W.identity) == LaurentPoly.zero()
     assert a.support_ids() == (W.id_of(W.gens[0]),)
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _hook_length_dim(shape):
+    # f^lambda = n! / product of hook lengths
+    n = sum(shape)
+    conj = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= (row - j - 1) + (conj[j] - i - 1) + 1
+    return math.factorial(n) // hooks
+
+
+def test_a4_two_sided_cell_sizes_from_hook_lengths():
+    # type A two-sided cells correspond to partitions of n, with (f^lambda)^2
+    # elements each (Kazhdan-Lusztig 1979)
+    want = sorted(_hook_length_dim(p) ** 2 for p in _partitions(5))
+    assert want == [1, 1, 16, 16, 25, 25, 36]
+    dec = hecke_algebra(build_weyl("A4"), STD).cells()
+    assert sorted(len(c) for c in dec.two_sided) == want
+
+
+def test_kl_polynomial_positivity_and_degree_bound():
+    # h_{x,w} = v^(l(w) - l(x)) P_{x,w}(v^-2); P_{x,w} has nonnegative
+    # coefficients, P_{x,w}(0) = 1 and, for x < w, degree at most
+    # (l(w) - l(x) - 1) / 2
+    pairs = 0
+    for cartan_type in ("A1", "A2", "A3", "B2", "G2"):
+        W = build_weyl(cartan_type)
+        H = hecke_algebra(W, STD)
+        for w in W.elements:
+            cw = H.kl_basis(w)
+            below = [x for x in W.elements if W.bruhat_leq(x, w)]
+            assert set(cw.support_ids()) == {W.id_of(x) for x in below}
+            for x in below:
+                d = w.length - x.length
+                P = {}
+                for e, c in cw.coefficient(x).items():
+                    assert (d - e) % 2 == 0 and e <= d
+                    P[(d - e) // 2] = c
+                assert all(c > 0 for c in P.values())
+                assert P.get(0) == 1
+                if x != w:
+                    assert all(2 * k <= d - 1 for k in P)
+                pairs += 1
+    assert pairs == 341

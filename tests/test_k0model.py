@@ -1,6 +1,9 @@
 import hashlib
 import json
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -407,3 +410,38 @@ def test_module_from_algebra_shares_group():
     M = KModule(kl)
     assert M.group is kl.group
     assert M.dim == sum(a.dim for a in kl.algebras)
+
+
+def test_solver_built_once_under_concurrent_gluing_checks(monkeypatch):
+    # the cli runs serially, but library callers may share a module between
+    # threads: each (orbit, s) solver must still be built exactly once
+    builds = []
+    orig = KModule._build_solver
+
+    def counted(self, oi, s):
+        builds.append((oi, s))
+        time.sleep(0.005)  # a slow build widens the window a race needs
+        return orig(self, oi, s)
+
+    monkeypatch.setattr(KModule, "_build_solver", counted)
+    M = KModule.for_type("A2", 3)
+    rng = random.Random(5)
+    tuples = [M.random_free_combination(rng, 3) for _ in range(4)]
+    reports = []
+    workers = [
+        threading.Thread(target=lambda t=t: reports.append(M.check_gluing(t)))
+        for t in tuples
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a race shows
+    try:
+        for th in workers:
+            th.start()
+        for th in workers:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in workers)
+    assert len(reports) == len(tuples)
+    assert all(r["status"] == "pass" for rep in reports for r in rep)
+    assert len(set(builds)) == len(builds) > 0

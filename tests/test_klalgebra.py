@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from klwb.charpoints import orbit, orbit_set, parse_point
+from klwb.charpoints import CharacterPoint, orbit, orbit_set, parse_point
 from klwb.coxeter import build_weyl
+from klwb.hecke import LY, hecke_algebra
 from klwb.klalgebra import KLAlgebra, OrbitAlgebra, OrbitMismatch
 from klwb.rings import BivarPoly, LaurentPoly
 
@@ -255,3 +256,18 @@ def test_orbit_configuration():
     assert len(kl2.orbits) == 2
     with pytest.raises(OrbitMismatch):
         KLAlgebra(W, [])
+
+
+@pytest.mark.parametrize("cartan_type", ["A1", "A2", "B2", "G2", "A3"])
+def test_trivial_orbit_is_ly_hecke_algebra(cartan_type):
+    # on the orbit of 0 every s lies in W_L, so H_o is the ly Hecke algebra
+    # under eid <-> (eid, 0)
+    W = build_weyl(cartan_type)
+    alg = OrbitAlgebra(W, orbit(W, CharacterPoint([0] * W.rank)))
+    (point,) = alg.orbit.points
+    H = hecke_algebra(W, LY)
+    for x in range(W.size):
+        for y in range(W.size):
+            got = alg.mul(alg.basis(x, 0), alg.basis(y, 0))
+            want = H.t_mul(H.basis(x), H.basis(y))
+            assert got.terms == {(w, point): c for w, c in want.terms.items()}
