@@ -55,6 +55,9 @@ N_CANONICAL = 5
 N_GLUING = 5
 N_POLYCONJ = 3
 
+# points enumerated before orbit reduction, sum_{N <= den} N^rank; A5/6 has 12,201
+MAX_POINTS = 20_000
+
 
 class ConfigError(ValueError):
     """Bad command configuration; maps to exit code 2."""
@@ -78,9 +81,14 @@ class RunConfig:
         if self.threads < 1:
             raise ConfigError("thread count must be positive")
         try:
-            build_weyl(self.cartan_type)
+            rank = build_weyl(self.cartan_type).rank
         except Exception as e:
             raise ConfigError("unsupported type %r: %s" % (self.cartan_type, e))
+        den = self.orbit_denominator_bound
+        # the first MAX_POINTS terms alone exceed MAX_POINTS
+        if sum(n**rank for n in range(1, min(den, MAX_POINTS) + 1)) > MAX_POINTS:
+            msg = "den %d enumerates more than %d character points in rank %d"
+            raise ConfigError(msg % (den, MAX_POINTS, rank))
 
     def to_json(self) -> dict:
         # threads and output mode do not change content; leaving them

@@ -19,7 +19,9 @@ solver by fraction-free elimination (``linalg.reduce_pair``).
 ``canonical_identity`` clears the denominators of its vector the same way.
 Q(v) appears only where a value leaves: ``KTuple.get``, rendered witnesses
 and ``express_in_free_span``, whose solve stays in Q(v).  The ``apply_*``
-methods work in the ring of their input entries.
+methods work in the ring of their input entries; ``apply_twist_poly``, the
+splitting's kernel, runs on Kronecker-packed ints (v -> 2^b is a ring
+homomorphism Z[v] -> Z, and b comes from a bound on the final coefficients).
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from .rings import (
     divmod_x,
     gcd_laurent,
     p_poly,
+    pack,
     split_at_one,
+    unpack,
 )
 
 
@@ -191,6 +195,14 @@ def _over(vec, den: LaurentPoly) -> List[Qv]:
     return [Qv(x, den) if x else QV_ZERO for x in vec]
 
 
+def _sparse_step(entries, acc):
+    """F acc for F given by its entries (j, r, F_rj)."""
+    out = [0] * len(acc)
+    for j, r, f in entries:
+        out[r] += f * acc[j]
+    return out
+
+
 def _zero_like(vec):
     """The zero of the ring of vec's entries: Q(v) if any entry is a Qv."""
     return QV_ZERO if Qv in map(type, vec) else LaurentPoly.zero()
@@ -276,14 +288,49 @@ class KModule:
         return self._apply_cols(self._twist_cols, vec)
 
     def apply_twist_poly(self, bp: BivarPoly, vec):
-        """Evaluate a polynomial in the full twist on a vector (Horner)."""
-        acc = [_zero_like(vec)] * self.dim
-        for k in range(bp.degree, -1, -1):
-            acc = self.apply_fulltwist(acc)
-            c = bp.coefficient(k)
-            if not c.is_zero:
-                acc = [a + x * c for a, x in zip(acc, vec)]
-        return acc
+        """bp(F) vec for bp(x) = sum_k c_k x^k and F the full twist.
+
+        Horner's rule on Kronecker-packed integers (``rings.pack``): the
+        entries of F, the c_k and the entries of vec are packed once each as
+        sum_e c_e 2^(b (e - lo)), and a step is int products, sums and
+        shifts; an accumulator entry stands for v^base times its unpacked
+        value.  As v -> 2^b is a ring homomorphism, only the final
+        coefficients must fit a slot: from bound_r = 0, each step sets
+        bound_r = sum_j |F_rj|_1 bound_j + |c_k|_1 |vec_r|_inf, and
+        b = max(bound).bit_length() + 1 keeps a sign bit.  Q(v) input runs
+        on D vec and is divided back by D.
+        """
+        (num,), den = _clear_denominators([vec])
+        if bp.is_zero or not any(num):
+            return [_zero_like(vec)] * self.dim
+        entries = [
+            (off + j, off + r, f)
+            for off, per_j in zip(self.offsets, self._twist_cols)
+            for j, col in enumerate(per_j)
+            for r, f in col
+        ]
+        norms = [(j, r, sum(map(abs, f._c.values()))) for j, r, f in entries]
+        vnorm = [max(map(abs, x._c.values()), default=0) for x in num]
+        bound = [0] * self.dim
+        for c in reversed(bp.xcoeffs):
+            c1 = sum(map(abs, c._c.values()))
+            bound = [x + c1 * y for x, y in zip(_sparse_step(norms, bound), vnorm)]
+        b = max(bound).bit_length() + 1
+        lo_f = min(f.min_exp for _, _, f in entries)
+        lo_v = min(x.min_exp for x in num if x)
+        packed = [(j, r, pack(f, lo_f, b)) for j, r, f in entries]
+        vp = [pack(x, lo_v, b) for x in num]
+        # acc starts at zero, so its base is free: the leading term's, less lo_f
+        acc, base = [0] * self.dim, bp.xcoeffs[-1].min_exp + lo_v - lo_f
+        for c in reversed(bp.xcoeffs):
+            acc, base = _sparse_step(packed, acc), base + lo_f
+            if c:
+                cb = c.min_exp + lo_v
+                lo = min(base, cb)
+                cp, sa, sc = pack(c, c.min_exp, b), b * (base - lo), b * (cb - lo)
+                acc, base = [(a << sa) + (cp * x << sc) for a, x in zip(acc, vp)], lo
+        out = [unpack(a, base, b) for a in acc]
+        return _over(out, den) if Qv in map(type, vec) else out
 
     # -- tuples ------------------------------------------------------------------
 

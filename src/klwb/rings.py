@@ -337,6 +337,30 @@ def _as_dense(p: LaurentPoly) -> tuple[int, list[int]]:
     return lo, dense
 
 
+def pack(p: LaurentPoly, lo: int, b: int) -> int:
+    """Kronecker substitution: v^-lo p at v = 2^b, for lo <= the least exponent.
+
+    ``unpack`` inverts it when every coefficient is below 2^(b-1) in size.
+    """
+    return sum(x << b * (e - lo) for e, x in p._c.items())
+
+
+def unpack(n: int, lo: int, b: int) -> LaurentPoly:
+    """Inverse of ``pack``: read n in base 2^b with signed digits."""
+    c: dict[int, int] = {}
+    mask, half, e = (1 << b) - 1, 1 << (b - 1), lo
+    while n:
+        d = n & mask
+        n >>= b
+        if d >= half:
+            d -= mask + 1
+            n += 1
+        if d:
+            c[e] = d
+        e += 1
+    return LaurentPoly(c)
+
+
 class SqrtValue:
     """An exact value a + b*sqrt(q) with rational a, b."""
 

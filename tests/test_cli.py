@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from klwb import cli
+from klwb import charpoints, cli
 from klwb.cli import RunConfig, ConfigError, main
+from klwb.coxeter import UnsupportedType, build_weyl
 from klwb.k0model import KModule
 
 
@@ -34,6 +35,36 @@ def test_exit_two_on_config_errors(capsys):
     assert run(capsys, "verify", "braid", "--den", "0")[0] == 2
     assert run(capsys, "verify", "braid", "--m", "fast")[0] == 2
     assert run(capsys, "verify", "braid", "--threads", "0")[0] == 2
+
+
+def test_huge_den_fails_before_enumeration(capsys, monkeypatch):
+    def enumerate_points(W, N):
+        raise AssertionError("point enumeration started")
+
+    monkeypatch.setattr(charpoints, "_points_with_denominator", enumerate_points)
+    rc, out = run(capsys, "verify", "braid", "--type", "A3", "--den", "1000")
+    assert rc == 2
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "den 1000" in out.err
+
+
+def test_point_budget_admits_every_type_at_the_default_den():
+    accepted = []
+    for family in "ABCDEFG":
+        for n in range(1, 9):
+            try:
+                build_weyl("%s%d" % (family, n))
+            except UnsupportedType:
+                continue
+            accepted.append("%s%d" % (family, n))
+            RunConfig(cartan_type=accepted[-1]).validate()
+    assert "A5" in accepted and "F4" in accepted
+    # the largest dens the tests and README pass in ranks one to three
+    RunConfig(cartan_type="A1", orbit_denominator_bound=8).validate()
+    RunConfig(cartan_type="A2", orbit_denominator_bound=8).validate()
+    RunConfig(cartan_type="A3", orbit_denominator_bound=8).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(cartan_type="A5", orbit_denominator_bound=7).validate()
 
 
 def test_internal_error_is_exit_three(capsys, monkeypatch):

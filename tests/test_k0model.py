@@ -20,7 +20,7 @@ from klwb.k0model import (
 )
 from klwb import linalg
 from klwb.klalgebra import KLAlgebra
-from klwb.rings import LaurentPoly, Qv, annihilator_family, p_poly
+from klwb.rings import BivarPoly, LaurentPoly, Qv, annihilator_family, p_poly, split_at_one
 
 
 def lp(d):
@@ -104,6 +104,49 @@ def test_twist_poly_horner():
         for a, b, c in zip(ffv, fv, vec)
     ]
     assert M.apply_twist_poly(bp, vec) == want
+
+
+def horner_reference(M, bp, vec):
+    # Horner with apply_fulltwist and ring arithmetic only, no packing
+    acc = [x * 0 for x in vec]
+    for k in range(bp.degree, -1, -1):
+        acc = M.apply_fulltwist(acc)
+        c = bp.coefficient(k)
+        acc = [a + c * x for a, x in zip(acc, vec)]
+    return acc
+
+
+@pytest.mark.parametrize(
+    "t, den, shift", [("A1", 6, 0), ("A2", 3, 0), ("B2", 2, 0), ("A1", 6, -3), ("A1", 6, 2)]
+)
+def test_twist_poly_matches_horner_reference(t, den, shift):
+    M = KModule.for_type(t, den)
+    # F's least exponent is 0 in these modules; v^shift F moves it, and the
+    # reference reads the same columns
+    M._twist_cols = [
+        [[(r, f.shifted(shift)) for r, f in col] for col in cols] for cols in M._twist_cols
+    ]
+    ptilde = annihilator_family(resolve_m(None, M.group), tilde=True)
+    polys = [
+        ptilde,
+        split_at_one(ptilde)[1],
+        ptilde * ptilde,
+        BivarPoly.const(lp({0: -3})),
+        BivarPoly.zero(),
+        BivarPoly((lp({-3: 2, 1: -1}), lp({-1: 5}), lp({-5: -4, 2: 3}))),
+    ]
+    rng = random.Random(7)
+    q = lp({0: 1, 2: 1})
+    field = [x / q if i % 3 else x / (q * q - 2) for i, x in enumerate(M.random_vector(rng))]
+    big = [
+        lp({-2: 2**200 + rng.randrange(99), 3: -(2**199)}) if rng.random() < 0.5 else x
+        for x in rand_poly_vec(M, rng)
+    ]
+    for bp in polys:
+        for vec in (field, big):
+            got = M.apply_twist_poly(bp, vec)
+            assert got == horner_reference(M, bp, vec), (t, shift, bp)
+            assert list(map(type, got)) == [type(vec[0])] * M.dim
 
 
 def test_tuple_arithmetic_and_serialization():

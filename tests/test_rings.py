@@ -19,7 +19,9 @@ from klwb.rings import (
     gcd_laurent,
     localized_reduce,
     p_poly,
+    pack,
     split_at_one,
+    unpack,
 )
 
 ONE = LaurentPoly.one()
@@ -469,3 +471,67 @@ def test_localized_reduction_idempotent(a, factors, den):
     x = LocalizedScalar(num, den)
     assert localized_reduce(x) == x
     assert LocalizedScalar(x.num, x.den) == x
+
+
+# -- Kronecker packing, v -> 2^b ----------------------------------------------
+
+wide_laurent = st.dictionaries(
+    st.integers(-8, 8), st.integers(-(10**6), 10**6), max_size=6
+).map(LaurentPoly)
+nonzero_wide = wide_laurent.filter(lambda p: not p.is_zero)
+
+
+def sup_norm(p):
+    return max((abs(x) for _, x in p.items()), default=0)
+
+
+def one_norm(p):
+    return sum(abs(x) for _, x in p.items())
+
+
+@props
+@given(wide_laurent, st.integers(0, 5), st.integers(2, 40))
+def test_pack_unpack_round_trip(p, slack, width):
+    # any base at or below the least exponent, any width whose signed
+    # slots hold every coefficient
+    b = max(width, sup_norm(p).bit_length() + 1)
+    lo = (p.min_exp if p else 0) - slack
+    assert unpack(pack(p, lo, b), lo, b) == p
+
+
+def test_pack_zero_polynomial():
+    assert pack(ZERO, -3, 7) == 0
+    assert unpack(0, -3, 7) == ZERO
+
+
+@props
+@given(st.integers(3, 80), st.lists(st.sampled_from((1, -1, 0)), max_size=8), st.integers(-5, 5))
+def test_pack_unpack_extreme_slots(b, signs, lo):
+    top = (1 << (b - 1)) - 1
+    p = LaurentPoly({lo + i: s * top for i, s in enumerate(signs)})
+    assert unpack(pack(p, lo, b), lo, b) == p
+    if p:
+        # one bit narrower, the top coefficient no longer fits its slot
+        assert unpack(pack(p, lo, b - 1), lo, b - 1) != p
+
+
+@props
+@given(nonzero_wide, nonzero_wide, nonzero_wide, st.integers(-5, 5))
+def test_packed_product_plus_shifted_term(a, f, c, k):
+    # a * f + v^k c with the width from the documented bound
+    # |a f + v^k c|_inf <= |f|_1 |a|_inf + |c|_inf
+    b = (one_norm(f) * sup_norm(a) + sup_norm(c)).bit_length() + 1
+    lo_af, lo_c = a.min_exp + f.min_exp, c.min_exp + k
+    base = min(lo_af, lo_c)
+    n = (pack(a, a.min_exp, b) * pack(f, f.min_exp, b) << b * (lo_af - base)) + (
+        pack(c, c.min_exp, b) << b * (lo_c - base)
+    )
+    assert unpack(n, base, b) == naive_sum(a, f, c, k)
+
+
+def naive_sum(a, f, c, k):
+    # a * f + v^k c by the convolution oracle above
+    out = naive_mul(dict(a.items()), dict(f.items()))
+    for e, x in c.items():
+        out[e + k] = out.get(e + k, 0) + x
+    return LaurentPoly(out)
