@@ -632,14 +632,6 @@ class CellDecomposition:
             for comp in sorted(self._left_ids, key=lambda c: c[0])
         )
 
-    @property
-    def right_cells(self) -> Tuple[Tuple, ...]:
-        els = self.group.elements
-        return tuple(
-            tuple(els[e] for e in comp)
-            for comp in sorted(self._right_ids, key=lambda c: c[0])
-        )
-
     def cell_of(self, w) -> int:
         eid = w if isinstance(w, int) else self.group.id_of(w)
         return self._cell_of[eid]

@@ -2,13 +2,16 @@
 
 A tuple (a_w)_{w in W} of vectors in a module over the generator algebra
 belongs to the glued group exactly when a_{sw} - Phi_s a_w lies in the
-image of Phi_s^2 - 1 for every simple s and every w.  This module builds
-the default module (the sum of all configured orbit modules), checks the
-gluing condition with explicit witnesses, realizes the involution iota and
-the free tuples, verifies the Euler identity of the canonical complex on
-free objects, and runs the localization splitting: a p(v)-multiple of any
-gluing tuple decomposes into a free part and a part annihilated by the
-twist factors, which is the executable content of the finiteness theorem.
+image of Phi_s^2 - 1 for every simple s and every w.  The module is the
+direct sum of one ``OrbitModule`` per W-orbit of character points; Phi_s,
+the full twist F and Phi_s^2 - 1 are block diagonal, and only
+``KModule._parts`` knows how blocks sit in a flat vector.  This module
+checks the gluing condition with explicit witnesses, realizes the
+involution iota and the free tuples, verifies the Euler identity of the
+canonical complex on free objects, and runs the localization splitting: a
+p(v)-multiple of any gluing tuple decomposes into a free part and a part
+annihilated by the twist factors, which is the executable content of the
+finiteness theorem.
 
 Scalars: the module is free over Z[v, v^-1] and every identity checked here
 is Z[v, v^-1]-linear, so it holds for a vector exactly when it holds for a
@@ -21,7 +24,7 @@ Q(v) appears only where a value leaves: ``KTuple.get``, rendered witnesses
 and ``express_in_free_span``, whose solve stays in Q(v).  The ``apply_*``
 methods work in the ring of their input entries; ``apply_twist_poly``, the
 splitting's kernel, runs on Kronecker-packed ints (v -> 2^b is a ring
-homomorphism Z[v] -> Z, and b comes from a bound on the final coefficients).
+homomorphism Z[v] -> Z; each block sets b from its final coefficients).
 """
 
 from __future__ import annotations
@@ -208,107 +211,62 @@ def _zero_like(vec):
     return QV_ZERO if Qv in map(type, vec) else LaurentPoly.zero()
 
 
-class KModule:
-    """Action matrices of the generator algebra on the sum of orbit modules.
+class OrbitModule:
+    """One summand: an orbit algebra acting on itself, in block coordinates
+    (``alg.flat_index``).  ``gen_cols[s][j]`` and ``twist_cols[j]`` list the
+    (row, coeff) of column j of Phi_s and of the full twist F; the solvers of
+    Phi_s^2 - 1 are built once each, under a lock."""
 
-    ``apply_*`` return vectors in the ring of their input entries.  The
-    Euler identity and the splitting run over Z[v, v^-1] on denominator-free
-    multiples of their input; see the module docstring.
-    """
-
-    def __init__(self, kl: KLAlgebra):
-        self.kl = kl
-        self.group = kl.group
-        W = kl.group
-        self.offsets: List[int] = []
-        self.block_dims: List[int] = []
-        off = 0
-        for alg in kl.algebras:
-            self.offsets.append(off)
-            self.block_dims.append(alg.dim)
-            off += alg.dim
-        self.dim = off
-        # sparse generator columns per orbit: cols[s][j] = [(row, coeff)]
-        self._gen_cols: List[List[List[List[Tuple[int, LaurentPoly]]]]] = []
-        self._twist_cols: List[List[List[Tuple[int, LaurentPoly]]]] = []
-        twist = kl.full_twist()
-        for oi, alg in enumerate(kl.algebras):
-            self._gen_cols.append([alg.columns(kl._gens[s][oi]) for s in range(W.rank)])
-            self._twist_cols.append(alg.columns(twist.projections[oi]))
-        self._solvers: Dict[Tuple[int, int], list] = {}
+    def __init__(self, alg, twist):
+        self.alg = alg
+        self.dim = alg.dim
+        self.gen_cols = [alg.columns(alg.pi_generator(s)) for s in range(alg.group.rank)]
+        self.twist_cols = alg.columns(twist)
+        self._solvers: Dict[int, list] = {}
         self._solver_lock = threading.Lock()
 
-    @classmethod
-    def for_type(cls, cartan_type: str, den_bound: int = 6) -> "KModule":
-        return cls(KLAlgebra.for_type(cartan_type, den_bound))
-
-    # -- vectors ---------------------------------------------------------------
-
-    def zero_vector(self) -> List[Qv]:
-        return [QV_ZERO] * self.dim
-
-    def basis_vector(self, i: int) -> List[Qv]:
-        out = self.zero_vector()
-        out[i] = QV_ONE
+    def apply(self, cols, vec, zero):
+        """The sparse operator with columns cols applied to vec, from zero."""
+        out = [zero] * self.dim
+        for j, col in enumerate(cols):
+            c = vec[j]
+            if c:
+                for r, poly in col:
+                    out[r] = out[r] + c * poly
         return out
 
-    def unit_vector(self) -> List[Qv]:
-        """The unit of the sum of orbit algebras."""
-        out = self.zero_vector()
-        for oi, alg in enumerate(self.kl.algebras):
-            for pidx in range(alg.orbit.size):
-                out[self.offsets[oi] + alg.flat_index(0, pidx)] = QV_ONE
+    def images(self, vec) -> List[list]:
+        """Phi_z vec for every group element z, one generator apply each: in
+        length order, any left descent s of z gives the length-additive z =
+        s * (s z), so the image at z is Phi_s of one already computed."""
+        g, zero = self.alg.group, _zero_like(vec)
+        eid0 = g.id_of(g.identity)
+        out: List[list] = [None] * g.size  # type: ignore[list-item]
+        out[eid0] = list(vec)
+        # the identity, the one element of length 0, sorts first
+        for eid in sorted(range(g.size), key=lambda e: g.lengths[e])[1:]:
+            for s in range(g.rank):
+                par = g.lmul_id(s, eid)
+                if g.lengths[par] < g.lengths[eid]:
+                    out[eid] = self.apply(self.gen_cols[s], out[par], zero)
+                    break
         return out
 
-    def _apply_cols(self, cols_per_orbit, vec):
-        out = [_zero_like(vec)] * self.dim
-        for oi, cols in enumerate(cols_per_orbit):
-            off = self.offsets[oi]
-            for j, col in enumerate(cols):
-                c = vec[off + j]
-                if c:
-                    for r, poly in col:
-                        out[off + r] = out[off + r] + c * poly
-        return out
-
-    def apply_generator(self, s: int, vec):
-        return self._apply_cols([per_s[s] for per_s in self._gen_cols], vec)
-
-    def apply_word(self, word: Iterable[int], vec):
-        out = list(vec)
-        for s in reversed(tuple(word)):
-            out = self.apply_generator(s, out)
-        return out
-
-    def apply_element(self, w, vec):
-        eid = w if isinstance(w, int) else self.group.id_of(w)
-        return self.apply_word(self.group.words[eid], vec)
-
-    def apply_fulltwist(self, vec):
-        return self._apply_cols(self._twist_cols, vec)
-
-    def apply_twist_poly(self, bp: BivarPoly, vec):
-        """bp(F) vec for bp(x) = sum_k c_k x^k and F the full twist.
+    def twist_poly(self, bp: BivarPoly, num: List[LaurentPoly]) -> List[LaurentPoly]:
+        """bp(F) num for an integral vector num.
 
         Horner's rule on Kronecker-packed integers (``rings.pack``): the
-        entries of F, the c_k and the entries of vec are packed once each as
+        entries of F, the c_k and the entries of num are packed once each as
         sum_e c_e 2^(b (e - lo)), and a step is int products, sums and
         shifts; an accumulator entry stands for v^base times its unpacked
         value.  As v -> 2^b is a ring homomorphism, only the final
         coefficients must fit a slot: from bound_r = 0, each step sets
-        bound_r = sum_j |F_rj|_1 bound_j + |c_k|_1 |vec_r|_inf, and
-        b = max(bound).bit_length() + 1 keeps a sign bit.  Q(v) input runs
-        on D vec and is divided back by D.
+        bound_r = sum_j |F_rj|_1 bound_j + |c_k|_1 |num_r|_inf over this
+        block's rows, and b = max(bound).bit_length() + 1 keeps a sign bit.
         """
-        (num,), den = _clear_denominators([vec])
         if bp.is_zero or not any(num):
-            return [_zero_like(vec)] * self.dim
-        entries = [
-            (off + j, off + r, f)
-            for off, per_j in zip(self.offsets, self._twist_cols)
-            for j, col in enumerate(per_j)
-            for r, f in col
-        ]
+            return [LaurentPoly.zero()] * self.dim
+        entries = [(j, r, f) for j, col in enumerate(self.twist_cols) for r, f in col]
         norms = [(j, r, sum(map(abs, f._c.values()))) for j, r, f in entries]
         vnorm = [max(map(abs, x._c.values()), default=0) for x in num]
         bound = [0] * self.dim
@@ -329,7 +287,126 @@ class KModule:
                 lo = min(base, cb)
                 cp, sa, sc = pack(c, c.min_exp, b), b * (base - lo), b * (cb - lo)
                 acc, base = [(a << sa) + (cp * x << sc) for a, x in zip(acc, vp)], lo
-        out = [unpack(a, base, b) for a in acc]
+        return [unpack(a, base, b) for a in acc]
+
+    def _solver(self, s: int):
+        """``_build_solver(s)``, built once per block even across threads."""
+        with self._solver_lock:
+            got = self._solvers.get(s)
+            if got is None:
+                got = self._solvers[s] = self._build_solver(s)
+        return got
+
+    def _build_solver(self, s: int):
+        """Echelonized image of Phi_s^2 - 1 on this block, with preimages.
+
+        Fraction-free over Z[v, v^-1]: a row (pivot, col, pre, d) has
+        (Phi_s^2 - 1) pre = col and col[pivot] = d, a unit pivot scaled to
+        1 (``linalg.echelon_row``).
+        """
+        n = self.dim
+        gen = self.gen_cols[s]
+        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        rows = []
+        for j in range(n):
+            col = [zero] * n
+            for r, c in gen[j]:
+                for r2, c2 in gen[r]:
+                    col[r2] = col[r2] + c * c2
+            col[j] = col[j] - one
+            pre = [zero] * n
+            pre[j] = one
+            row = echelon_row(*reduce_pair(col, pre, rows)[:2])
+            if row is not None:
+                rows.append(row)
+        return rows
+
+    def solve_image(self, s: int, rhs: List[LaurentPoly], den: LaurentPoly):
+        """Solve (Phi_s^2 - 1) x = rhs / den; None when rhs is outside the image.
+
+        Reduces to (Phi_s^2 - 1) y = sigma * rhs over Z[v, v^-1], sigma from
+        ``reduce_pair``; only x = y / (sigma * den) is formed in Q(v).
+        """
+        if not any(rhs):
+            return [QV_ZERO] * self.dim
+        # reduce_pair keeps res = sigma * rhs + (Phi_s^2 - 1) negx
+        res, negx, sigma = reduce_pair(rhs, [LaurentPoly.zero()] * self.dim, self._solver(s))
+        if any(res):
+            return None
+        return _over([-a for a in negx], sigma * den)
+
+
+class KModule:
+    """The direct sum of ``blocks``, one ``OrbitModule`` per ``kl.algebras`` entry.
+
+    Vectors, ``KTuple`` numerators and witness indices are flat, a layout
+    only ``_parts`` knows; ``apply_*``, the gluing solver and the free-span
+    solve run per block.  ``apply_*`` return vectors in the ring of their
+    input entries; see the module docstring for scalars.
+    """
+
+    def __init__(self, kl: KLAlgebra):
+        self.kl = kl
+        self.group = kl.group
+        self.blocks = tuple(map(OrbitModule, kl.algebras, kl.full_twist().projections))
+        self.dim = sum(blk.dim for blk in self.blocks)
+
+    @classmethod
+    def for_type(cls, cartan_type: str, den_bound: int = 6) -> "KModule":
+        return cls(KLAlgebra.for_type(cartan_type, den_bound))
+
+    def _parts(self, vecs):
+        """(start, block, [vec on the block for vec in vecs]) per block: the one
+        place that knows the layout, blocks concatenated in ``kl.algebras``
+        order, block coordinate j at flat index start + j."""
+        start = 0
+        for blk in self.blocks:
+            yield start, blk, [vec[start : start + blk.dim] for vec in vecs]
+            start += blk.dim
+
+    def _blockwise(self, f, vec) -> list:
+        """The flat vector of f(block, vec on the block) over all blocks."""
+        return [x for _, blk, (part,) in self._parts([vec]) for x in f(blk, part)]
+
+    # -- vectors ---------------------------------------------------------------
+
+    def zero_vector(self) -> List[Qv]:
+        return [QV_ZERO] * self.dim
+
+    def basis_vector(self, i: int) -> List[Qv]:
+        out = self.zero_vector()
+        out[i] = QV_ONE
+        return out
+
+    def unit_vector(self) -> List[Qv]:
+        """The unit of the sum of orbit algebras."""
+        units = (blk.alg.element_to_vector(blk.alg.unit()) for _, blk, _ in self._parts([]))
+        return [x for unit in units for x in unit]
+
+    def apply_generator(self, s: int, vec):
+        zero = _zero_like(vec)
+        return self._blockwise(lambda blk, x: blk.apply(blk.gen_cols[s], x, zero), vec)
+
+    def apply_word(self, word: Iterable[int], vec):
+        out = list(vec)
+        for s in reversed(tuple(word)):
+            out = self.apply_generator(s, out)
+        return out
+
+    def apply_element(self, w, vec):
+        eid = w if isinstance(w, int) else self.group.id_of(w)
+        return self.apply_word(self.group.words[eid], vec)
+
+    def apply_fulltwist(self, vec):
+        zero = _zero_like(vec)
+        return self._blockwise(lambda blk, x: blk.apply(blk.twist_cols, x, zero), vec)
+
+    def apply_twist_poly(self, bp: BivarPoly, vec):
+        """bp(F) vec for bp(x) = sum_k c_k x^k and F the full twist, block by
+        block (``OrbitModule.twist_poly``, each with its own Kronecker width).
+        Q(v) input runs on D vec and is divided back by D."""
+        (num,), den = _clear_denominators([vec])
+        out = self._blockwise(lambda blk, x: blk.twist_poly(bp, x), num)
         return _over(out, den) if Qv in map(type, vec) else out
 
     # -- tuples ------------------------------------------------------------------
@@ -373,56 +450,15 @@ class KModule:
 
     # -- gluing -------------------------------------------------------------------
 
-    def _solver(self, oi: int, s: int):
-        """``_build_solver(oi, s)``, built once per module even across threads."""
-        with self._solver_lock:
-            got = self._solvers.get((oi, s))
-            if got is None:
-                got = self._solvers[(oi, s)] = self._build_solver(oi, s)
-        return got
-
-    def _build_solver(self, oi: int, s: int):
-        """Echelonized image of Phi_s^2 - 1 on one orbit block, with preimages.
-
-        Fraction-free over Z[v, v^-1]: a row (pivot, col, pre, d) has
-        (Phi_s^2 - 1) pre = col and col[pivot] = d, a unit pivot scaled to
-        1 (``linalg.echelon_row``).
-        """
-        n = self.block_dims[oi]
-        gen = self._gen_cols[oi][s]
-        zero, one = LaurentPoly.zero(), LaurentPoly.one()
-        rows = []
-        for j in range(n):
-            col = [zero] * n
-            for r, c in gen[j]:
-                for r2, c2 in gen[r]:
-                    col[r2] = col[r2] + c * c2
-            col[j] = col[j] - one
-            pre = [zero] * n
-            pre[j] = one
-            row = echelon_row(*reduce_pair(col, pre, rows)[:2])
-            if row is not None:
-                rows.append(row)
-        return rows
-
     def _solve_image(self, s: int, rhs: List[LaurentPoly], den: LaurentPoly):
-        """Solve (Phi_s^2 - 1) x = rhs / den; None when rhs is outside the image.
-
-        Eliminates blockwise over Z[v, v^-1] down to (Phi_s^2 - 1) y =
-        sigma * rhs, sigma from ``reduce_pair``; only x = y / (sigma * den)
-        is formed in Q(v).
-        """
+        """Solve (Phi_s^2 - 1) x = rhs / den blockwise; None when rhs is
+        outside the image (``OrbitModule.solve_image``)."""
         x = []
-        for oi, n in enumerate(self.block_dims):
-            res = rhs[self.offsets[oi] : self.offsets[oi] + n]
-            if not any(res):
-                x.extend([QV_ZERO] * n)
-                continue
-            # reduce_pair keeps res = sigma * rhs + (Phi_s^2 - 1) negx
-            res, negx, sigma = reduce_pair(res, [LaurentPoly.zero()] * n, self._solver(oi, s))
-            if any(res):
+        for _, blk, (part,) in self._parts([rhs]):
+            got = blk.solve_image(s, part, den)
+            if got is None:
                 return None
-            x.extend(_over([-a for a in negx], sigma * den))
+            x.extend(got)
         return x
 
     def check_gluing(self, t: KTuple) -> List[dict]:
@@ -468,25 +504,9 @@ class KModule:
         return out
 
     def _all_images(self, vec: list) -> List[list]:
-        """Phi_z vec for every group element z, one generator apply each.
-
-        Walks elements in length order; any left descent s of z gives the
-        length-additive factorization z = s * (s z), so the image at z is
-        one generator application away from an already computed image.
-        """
-        g = self.group
-        eid0 = g.id_of(g.identity)
-        out: List[list] = [None] * g.size  # type: ignore[list-item]
-        out[eid0] = list(vec)
-        for eid in sorted(range(g.size), key=lambda e: g.lengths[e]):
-            if eid == eid0:
-                continue
-            for s in range(g.rank):
-                par = g.lmul_id(s, eid)
-                if g.lengths[par] < g.lengths[eid]:
-                    out[eid] = self.apply_generator(s, out[par])
-                    break
-        return out
+        """Phi_z vec for every group element z, block by block (``OrbitModule.images``)."""
+        tabs = [blk.images(part) for _, blk, (part,) in self._parts([vec])]
+        return [[x for tab in tabs for x in tab[z]] for z in range(self.group.size)]
 
     def canonical_identity(self, k: Sequence) -> List[dict]:
         """Euler identity of the canonical complex on the free tuple at e.
@@ -655,31 +675,23 @@ class KModule:
         mm = resolve_m(m, g)
         coeffs: Dict[Tuple[int, int], Qv] = {}
         comps = [a.get(y) for y in range(g.size)]
-        for oi, n in enumerate(self.block_dims):
-            off = self.offsets[oi]
-            # tabs[b][z] = Phi_z of the b-th basis vector, over Z[v, v^-1]
-            tabs = []
-            for b in range(n):
-                vec = [LaurentPoly.zero()] * self.dim
-                vec[off + b] = LaurentPoly.one()
-                tabs.append(self._all_images(vec))
-            cols = []
-            labels = []
+        for start, blk, parts in self._parts(comps):
+            n = blk.dim
+            # tabs[b][z] = Phi_z of the block's b-th basis vector, over Z[v, v^-1]
+            zero, one = LaurentPoly.zero(), LaurentPoly.one()
+            tabs = [blk.images([zero] * b + [one] + [zero] * (n - b - 1)) for b in range(n)]
+            cols, labels = [], []
             for w in range(g.size):
                 winv = g.inv_id(w)
                 for b in range(n):
                     stacked = []
                     for y in range(g.size):
-                        img = tabs[b][g.mul_id(y, winv)][off : off + n]
+                        img = tabs[b][g.mul_id(y, winv)]
                         stacked.extend(Qv(x) if x else QV_ZERO for x in img)
                     cols.append(stacked)
-                    labels.append((w, off + b))
-            nrows = len(cols[0])
-            rows = [[col[i] for col in cols] for i in range(nrows)]
-            rhs = []
-            for vec in comps:
-                rhs.extend(vec[off : off + n])
-            sol = solve_linear(rows, rhs)
+                    labels.append((w, start + b))
+            rows = [list(row) for row in zip(*cols)]
+            sol = solve_linear(rows, [x for part in parts for x in part])
             if sol is None:
                 return None
             for lab, c in zip(labels, sol):

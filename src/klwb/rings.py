@@ -808,11 +808,6 @@ def p_poly(m: int) -> LaurentPoly:
     return out
 
 
-def specialize_sqrt_q(p: LaurentPoly, q: int) -> SqrtValue:
-    """Module-level alias for LaurentPoly.specialize_sqrt_q."""
-    return p.specialize_sqrt_q(q)
-
-
 def divides_p_power(d: LaurentPoly, m: int, rmax: int = 5) -> Optional[int]:
     """Least r <= rmax with d | (prod_{i=1..m}(1 - v^2i))^r, or None.
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from klwb import charpoints, cli
 from klwb.cli import RunConfig, ConfigError, main
 from klwb.coxeter import UnsupportedType, build_weyl
-from klwb.k0model import KModule
+from klwb.k0model import OrbitModule
 
 
 def run(capsys, *args):
@@ -215,13 +216,13 @@ def test_bad_env_thread_count_is_config_error(capsys, monkeypatch):
 
 def test_gluing_builds_each_solver_once_across_threads(capsys, monkeypatch):
     builds = []
-    orig = KModule._build_solver
+    orig = OrbitModule._build_solver
 
-    def counted(self, oi, s):
-        builds.append((oi, s))
-        return orig(self, oi, s)
+    def counted(self, s):
+        builds.append((self.alg.orbit.representative.render(), s))
+        return orig(self, s)
 
-    monkeypatch.setattr(KModule, "_build_solver", counted)
+    monkeypatch.setattr(OrbitModule, "_build_solver", counted)
     per_threads = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so a race shows
@@ -294,3 +295,75 @@ def test_runconfig_validation():
         RunConfig(exponent_bound_m=0).validate()
     with pytest.raises(ConfigError):
         RunConfig(cartan_type="E9").validate()
+
+
+# sha256 of "<exit code>\n" + stdout for every verify suite and dump table on
+# A1 and A2 at the default den, text and --json.  A refactor that must keep
+# the report bytes re-runs this; a change that alters output on purpose
+# re-pins the affected entries and says why.
+PINNED_OUTPUT_SHA256 = {
+    "verify braid --type A1": "68a404702e13b937bb0809a50a5a6c543379565f08d1c6004b1532f76140cbef",
+    "verify braid --type A1 --json": "8182307b760760be42257a02c52e2cb8ff420557f1b0bc300acf5cae7b626dda",
+    "verify cubic --type A1": "55f0800c1fdb9948425ef6da0c5dc1d92f562dcf6420fc90c689c593abcf6a00",
+    "verify cubic --type A1 --json": "d4522ec25190e5d946f4833b399ef32ee7076595516a316f61350e19042ee612",
+    "verify w0 --type A1": "aab911630ea61de84ea7613035850f4f54de62b556ecf09e37ef6bb052d29097",
+    "verify w0 --type A1 --json": "5ecf7b9a3b22676afcb163b5aeb8f7f0d2bf2ec1e7792a7d7bb156e28265d34d",
+    "verify minpoly --type A1": "e0e9e9612db277e1a2062535e171cfc505298958ab227cd764e32f62b4013f99",
+    "verify minpoly --type A1 --json": "c421c14e39901c1ad6fafd097e321b32ea847c0d7613420ee916e00876a9b019",
+    "verify canonical --type A1": "deeaf2ad7c1de997b4d7c90e8f062f3955e90e856aadb17f698e8eae7d0945b4",
+    "verify canonical --type A1 --json": "57cd944efcf80e946c524a4bf40e80eb1e6600dd958a0ef2738acc9f4286c4e6",
+    "verify gluing --type A1": "dc4ed644157248848e50367dca5c406149b1c2f66a8312742858f95be2af1e56",
+    "verify gluing --type A1 --json": "c822dfa9601a2bddc45bc98ae61a1df1c6f8ef00da51c035b439ac76e4a50825",
+    "verify polyconj --type A1": "3e81a288068461e4a8a99c5359261e86e0b4a60ddcb0b695bb78c46ecafe3af6",
+    "verify polyconj --type A1 --json": "356d0df67fd1ad5e76b0ef13f90b35d7d3f374a21b4eb5a47501d9c7556b8913",
+    "verify tilting --type A1": "aab857df324e28ba254223b695b19fdd9951c0568a017c1c18e53c779fb4c4bb",
+    "verify tilting --type A1 --json": "70365e55c9b0d41af7931040bff6d61c07344e3ccbc319d12182e498dcf262b4",
+    "verify chevalley --type A1": "8e63a8633ad7f105397875385777b59f241549c596af50f83aab41d57c9eef64",
+    "verify chevalley --type A1 --json": "047145999a118401a2293ff4fe7086f11c6369d32db9c2cec541685c7b519cc4",
+    "verify cells --type A1": "66b8fe48279204e9ac7eb4bbcd3d8a79ff28a028eb46c20969f8fea92cb04bfa",
+    "verify cells --type A1 --json": "533b26bdd0627c03326696818b1d3498aa414011163bcfbd74c790a5b63c80eb",
+    "dump cells --type A1": "dadc2f3c20b8ae7df193612cf717719733a6c26601fd0a4f24653fc1212e48dd",
+    "dump cells --type A1 --json": "e03dd72c186f8604363ecad3b1f056300b45884c5745939f41e6b7ed0d8842af",
+    "dump fulltwist_scalars --type A1": "1e91a223c7313ae44b53237f368359aa81b7d72089a8c3a90c3177c5fe5a0ac1",
+    "dump fulltwist_scalars --type A1 --json": "d747d5a74d9680f35987ffd6ae2624ca4f05a7ea8732527df16cf7c6267dbfd7",
+    "dump qpoly --type A1": "c4de2abbb70d7880703e94bfc3e853e58f1e50919a5a8893627c242cf0eccd3c",
+    "dump qpoly --type A1 --json": "e8e0267bed00bb916e31d1f45c330e79fa80dae65aa9f9ef9101ef7926b23ad5",
+    "dump orbit_table --type A1": "4e55de52c93e8f86c447a31198d5332b04e8119d7d27ef75237785dca7ffaf3a",
+    "dump orbit_table --type A1 --json": "aaab964dd380d0b0a518ad4bfe94f909e3176685962594eb73e8036e913fc655",
+    "verify braid --type A2": "fbe0728e00d4bc1b4055e01e3ffaf0b7c4a3fa5c03d687aff0e426e8a75694eb",
+    "verify braid --type A2 --json": "3fde24ec560e30e1cddcb0a53b3042206c6c380271cf856281f241fce731809b",
+    "verify cubic --type A2": "08ceac8750398aacc3fbce482d2ec9b7e9f47227a1da80b70f0ef656aa8cc970",
+    "verify cubic --type A2 --json": "7edbed6826a421a8a69651b9655c4b504570fb56107a90a755eb0255651c4ef5",
+    "verify w0 --type A2": "7cc0a68f0cec34e10001f32e9d22382e5451debd4fca68be741998bf4d342164",
+    "verify w0 --type A2 --json": "b4b30fe29df73a2b691a6ff11c043e271e2cfebeda1401181dccb97b26fd12b0",
+    "verify minpoly --type A2": "c861f0e1fe2c64957cb6b3834789af39828480d0f4455ca0cbd6491d2d4820ed",
+    "verify minpoly --type A2 --json": "68dfbef0e007b080bbe9f9eb63b445a4ded00c834fbf9e902a36ede8528fa729",
+    "verify canonical --type A2": "1b90138210650bb000bfed2f1f386ff8fc1c4c0887501d77f9e04dd934d988a7",
+    "verify canonical --type A2 --json": "1671cd81fd8dd5791b8b392c79a33c0e5c5b1a55e4cee591edc254c077049cd7",
+    "verify gluing --type A2": "265b8e8977d63d923bae39de1531e42f603d80c7c63ccf37c91dae2a761602ea",
+    "verify gluing --type A2 --json": "f318f215498b4ddf4277618cb01ad98e5d1a04d1fbdbf8cb5c8cf91385a9c3a3",
+    "verify polyconj --type A2": "17983271d38211e3c70f68daa7283990c5dd7b29e33c0928129424c6c4d80dd3",
+    "verify polyconj --type A2 --json": "fe53a38953c71064edd9025eb34c1f48d8b8392e3090dabba02abed64e7490dc",
+    "verify tilting --type A2": "dca5b570060c1d1d491ea4ec1863a680dc267b1f41bba17f4d7b798fe35d7930",
+    "verify tilting --type A2 --json": "0713eb17f38b499db46146bbf773424df94e5cb1bf745edbd6a7ecb804256822",
+    "verify chevalley --type A2": "3a908ddf38827413de4e9d2b073188077fb9dc41decef10beb7d1b78635498df",
+    "verify chevalley --type A2 --json": "f93161fbff1e9aaf0a41cfdf819a1398207f9d043db2214747166972a106ef3f",
+    "verify cells --type A2": "8d8ff3f57342c9c0d2878a3a1a60e799f6a6469b8d9d13a3b6d4ee60249ee06a",
+    "verify cells --type A2 --json": "cfa193d0cac586615a82d091b247a57ffba8bd903a709226b632ffa47c325b46",
+    "dump cells --type A2": "7de07a2ad14d315436b49bccf32cbd84503edb5786a1575507449c6ef35151e8",
+    "dump cells --type A2 --json": "78f13e7d95ca283b0a7cd2ce371f5a277a3fbb32b287e686829a91a2dbacfdcd",
+    "dump fulltwist_scalars --type A2": "c6c6d5a7162e95d45b77474872344e5cb0c01ef88550bfa4cf566c4bb7d222d4",
+    "dump fulltwist_scalars --type A2 --json": "d8cd61ccc2bd408a353ff5f988ce4921dece549bb6a4874fc64d07c116f99a16",
+    "dump qpoly --type A2": "1c503094866af007d10dde29142dc19e9625044021ce94e23a9761ca897ccfc3",
+    "dump qpoly --type A2 --json": "89298f62c08f50a49677f1573aa9e71d8a52981ca85679832e354e072f23bdb9",
+    "dump orbit_table --type A2": "57f42a33ead8321390f6bf5e59629285aa97c694ca0aa9be33c0319624be716b",
+    "dump orbit_table --type A2 --json": "a0ce0f19da9e9cb0abd24685219433c178780021d91ff8b75d1378426be0d63f",
+}
+
+
+def test_default_outputs_pinned(capsys):
+    got = {}
+    for key in PINNED_OUTPUT_SHA256:
+        rc, out = run(capsys, *key.split())
+        got[key] = hashlib.sha256(("%d\n" % rc + out.out).encode()).hexdigest()
+    assert got == PINNED_OUTPUT_SHA256

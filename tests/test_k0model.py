@@ -1,19 +1,22 @@
 import hashlib
+import itertools
 import json
 import random
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
 from klwb.coxeter import build_weyl
-from klwb.charpoints import parse_point
+from klwb.charpoints import orbit_set, parse_point
 from klwb.k0model import (
     GluingViolation,
     IdentityFailure,
     KModule,
     KTuple,
+    OrbitModule,
     PreconditionFailure,
     _render_vec,
     resolve_m,
@@ -36,35 +39,71 @@ def rand_poly_vec(M, rng, density=0.4):
     ]
 
 
+def block_starts(M):
+    # flat index of each block's first coordinate, from the layout helper
+    return [start for start, _, _ in M._parts([])]
+
+
 def test_module_shape_and_unit():
     M = KModule.for_type("A1", 6)
     assert M.dim == 24
     assert len(M.kl.algebras) == 7
-    assert M.offsets == [0, 2, 6, 10, 14, 18, 22]
+    assert [blk.alg for blk in M.blocks] == list(M.kl.algebras)
+    assert [blk.dim for blk in M.blocks] == [2, 4, 4, 4, 4, 4, 2]
+    starts = block_starts(M)
+    assert starts == [0, 2, 6, 10, 14, 18, 22]
     u = M.unit_vector()
     ones = [i for i, x in enumerate(u) if x]
     # one entry per (orbit, point), all sitting at the identity row
     assert len(ones) == 12
-    for oi, alg in enumerate(M.kl.algebras):
+    for start, alg in zip(starts, M.kl.algebras):
         for p in range(alg.orbit.size):
-            assert u[M.offsets[oi] + alg.flat_index(0, p)] == 1
+            assert u[start + alg.flat_index(0, p)] == 1
+
+
+@pytest.mark.parametrize(
+    "t, den, orbits", [("A1", 6, 7), ("A2", 3, 5), ("B2", 2, 3), ("G2", 6, 13), ("A3", 2, 3)]
+)
+def test_block_count_matches_burnside(t, den, orbits):
+    # one block per W-orbit of points with lcm denominator <= den; Burnside's
+    # lemma counts the orbits as (1/|W|) sum_w |Fix(w)| over points and an
+    # action enumerated here from the Cartan matrix, not from charpoints
+    M = KModule.for_type(t, den)
+    W = M.group
+    C = W.datum.cartan_matrix
+    points = {
+        tuple(Fraction(a, N) for a in coords)
+        for N in range(1, den + 1)
+        for coords in itertools.product(range(N), repeat=W.rank)
+    }
+
+    def act(word, lam):
+        for j in reversed(word):
+            lam = tuple((lam[i] - lam[j] * C[i][j]) % 1 for i in range(W.rank))
+        return lam
+
+    fixed = sum(act(W.words[e], p) == p for e in range(W.size) for p in points)
+    assert fixed % W.size == 0
+    assert len(M.blocks) == len(orbit_set(W, den)) == fixed // W.size == orbits
+    assert M.dim == W.size * len(points)
 
 
 def test_generator_action_matches_block_product():
     M = KModule.for_type("A2", 2)
     rng = random.Random(20260814)
+    starts = block_starts(M)
     for _ in range(10):
         oi = rng.randrange(len(M.kl.algebras))
-        alg = M.kl.algebras[oi]
+        alg = M.blocks[oi].alg
         eid = rng.randrange(M.group.size)
         pidx = rng.randrange(alg.orbit.size)
         s = rng.randrange(M.group.rank)
-        vec = M.basis_vector(M.offsets[oi] + alg.flat_index(eid, pidx))
+        vec = M.basis_vector(starts[oi] + alg.flat_index(eid, pidx))
         got = M.apply_generator(s, vec)
         prod = alg.mul(alg.pi_generator(s), alg.basis(eid, pidx))
         for (e, p), c in prod.terms.items():
             e = alg.group.id_of(e)
-            assert got[M.offsets[oi] + alg.flat_index(e, alg.orbit.index_of(p))] == c
+            assert got[starts[oi] + alg.flat_index(e, alg.orbit.index_of(p))] == c
         assert sum(1 for x in got if x) == len(prod.terms)
 
 
@@ -123,9 +162,8 @@ def test_twist_poly_matches_horner_reference(t, den, shift):
     M = KModule.for_type(t, den)
     # F's least exponent is 0 in these modules; v^shift F moves it, and the
     # reference reads the same columns
-    M._twist_cols = [
-        [[(r, f.shifted(shift)) for r, f in col] for col in cols] for cols in M._twist_cols
-    ]
+    for blk in M.blocks:
+        blk.twist_cols = [[(r, f.shifted(shift)) for r, f in col] for col in blk.twist_cols]
     ptilde = annihilator_family(resolve_m(None, M.group), tilde=True)
     polys = [
         ptilde,
@@ -200,12 +238,13 @@ def test_gluing_reports_pinned():
     # a free combination plus the constant tuple on the trivial orbit's
     # block, whose witnesses need 1 / (v^2 - 1), so the solver must scale
     oi = M.kl.orbit_index(parse_point("0,0"))
-    block = range(M.offsets[oi], M.offsets[oi] + M.block_dims[oi])
+    starts = block_starts(M)
+    block = range(starts[oi], starts[oi] + M.blocks[oi].dim)
     unit = [x if i in block else 0 for i, x in enumerate(M.unit_vector())]
     t = M.random_free_combination(random.Random(7), 2) + M.constant_tuple(unit)
     fixtures = {
         "pass": t,
-        "fail": t + M.tuple_from({1: M.basis_vector(M.offsets[1])}),
+        "fail": t + M.tuple_from({1: M.basis_vector(starts[1])}),
         "scaled": t.scale(Qv(1, lp({0: 1, 2: 1}))),
     }
     for name, tup in fixtures.items():
@@ -280,7 +319,7 @@ def test_adversarial_perturbation_fails_gluing():
     # the generator squares to the identity on the 1/2 block, so the image
     # of its square minus one vanishes there and any perturbation escapes
     oi = M.kl.orbit_index(parse_point("1/2"))
-    delta = M.basis_vector(M.offsets[oi])
+    delta = M.basis_vector(block_starts(M)[oi])
     t2 = t + M.tuple_from({1: delta})
     rep = M.check_gluing(t2)
     assert any(r["status"] == "fail" for r in rep)
@@ -457,16 +496,16 @@ def test_module_from_algebra_shares_group():
 
 def test_solver_built_once_under_concurrent_gluing_checks(monkeypatch):
     # the cli runs serially, but library callers may share a module between
-    # threads: each (orbit, s) solver must still be built exactly once
+    # threads: each (block, s) solver must still be built exactly once
     builds = []
-    orig = KModule._build_solver
+    orig = OrbitModule._build_solver
 
-    def counted(self, oi, s):
-        builds.append((oi, s))
+    def counted(self, s):
+        builds.append((id(self), s))
         time.sleep(0.005)  # a slow build widens the window a race needs
-        return orig(self, oi, s)
+        return orig(self, s)
 
-    monkeypatch.setattr(KModule, "_build_solver", counted)
+    monkeypatch.setattr(OrbitModule, "_build_solver", counted)
     M = KModule.for_type("A2", 3)
     rng = random.Random(5)
     tuples = [M.random_free_combination(rng, 3) for _ in range(4)]
