@@ -22,9 +22,24 @@ solver by fraction-free elimination (``linalg.reduce_pair``).
 ``canonical_identity`` clears the denominators of its vector the same way.
 Q(v) appears only where a value leaves: ``KTuple.get``, rendered witnesses
 and ``express_in_free_span``, whose solve stays in Q(v).  The ``apply_*``
-methods work in the ring of their input entries; ``apply_twist_poly``, the
-splitting's kernel, runs on Kronecker-packed ints (v -> 2^b is a ring
-homomorphism Z[v] -> Z; each block sets b from its final coefficients).
+methods work in the ring of their input entries.
+
+Kronecker packing (``rings.pack``): an int n at base B and width b stands
+for v^B times the polynomial whose signed base-2^b digits are n's, that is
+n = (v^-B p)(2^b).  v -> 2^b is a ring homomorphism, so sums, products and
+shifts of ints compute those of the polynomials whatever the carries; it is
+injective on polynomials whose coefficients are below 2^(b-1) in size, so
+only the values that are compared or unpacked must fit, and each kernel
+proves a bound on them and sets b = bound.bit_length() + 1, per block.  The
+base rule: a generator step (entries packed at their least exponent lo_g,
+``OrbitModule.packed_gens``) adds lo_g to the base, and terms at different
+bases are summed at the least one, shifting each left by b times the
+difference (``_packed_sum``).  ``OrbitModule.images`` is the one image
+kernel: ``make_free`` and ``express_in_free_span`` unpack its tables, while
+``canonical_identity`` and the Phi_s^2 and proof-step checks of
+``polyconj_split`` stay packed to the verdict and unpack only a failure
+witness.  ``apply_twist_poly``, the splitting's kernel, runs Horner on
+packed ints the same way.
 """
 
 from __future__ import annotations
@@ -206,6 +221,27 @@ def _sparse_step(entries, acc):
     return out
 
 
+def _norm_inf(vec) -> int:
+    """The largest coefficient size over the entries of an integral vector."""
+    return max((abs(c) for x in vec for c in x._c.values()), default=0)
+
+
+def _packed_sum(terms, b: int) -> Tuple[List[int], int]:
+    """(sum of sign * vec, B) over terms (sign, vec, base) of packed vectors.
+
+    B is the least base; a term at base B + d is shifted left by b * d, that
+    is multiplied by v^d, before it is added.
+    """
+    base = min(at for _, _, at in terms)
+    acc = [0] * len(terms[0][1])
+    for sign, vec, at in terms:
+        sh = b * (at - base)
+        if sh:
+            vec = [x << sh for x in vec]
+        acc = list(map(operator.add if sign > 0 else operator.sub, acc, vec))
+    return acc, base
+
+
 def _zero_like(vec):
     """The zero of the ring of vec's entries: Q(v) if any entry is a Qv."""
     return QV_ZERO if Qv in map(type, vec) else LaurentPoly.zero()
@@ -215,7 +251,9 @@ class OrbitModule:
     """One summand: an orbit algebra acting on itself, in block coordinates
     (``alg.flat_index``).  ``gen_cols[s][j]`` and ``twist_cols[j]`` list the
     (row, coeff) of column j of Phi_s and of the full twist F; the solvers of
-    Phi_s^2 - 1 are built once each, under a lock."""
+    Phi_s^2 - 1 are built once each, under a lock.  ``apply`` works in the
+    ring of its input; ``images``, ``apply_packed`` and ``twist_poly`` work
+    on Kronecker-packed ints (see the module docstring)."""
 
     def __init__(self, alg, twist):
         self.alg = alg
@@ -235,21 +273,69 @@ class OrbitModule:
                     out[r] = out[r] + c * poly
         return out
 
-    def images(self, vec) -> List[list]:
-        """Phi_z vec for every group element z, one generator apply each: in
-        length order, any left descent s of z gives the length-additive z =
-        s * (s z), so the image at z is Phi_s of one already computed."""
-        g, zero = self.alg.group, _zero_like(vec)
-        eid0 = g.id_of(g.identity)
-        out: List[list] = [None] * g.size  # type: ignore[list-item]
-        out[eid0] = list(vec)
+    def gen_norm(self) -> int:
+        """C, the largest sum_j |(Phi_s)_rj|_1 over s and rows r: a generator
+        step multiplies the largest coefficient of an integral vector by at
+        most C."""
+        best = 0
+        for cols in self.gen_cols:
+            rows = [0] * self.dim
+            for col in cols:
+                for r, f in col:
+                    rows[r] += sum(map(abs, f._c.values()))
+            best = max(best, *rows)
+        return best
+
+    def packed_gens(self, b: int) -> Tuple[List[list], int]:
+        """([(j, r, pack(f, lo, b)) per entry f = (Phi_s)_rj] per s, lo), lo
+        the least exponent in any Phi_s: ``_sparse_step(gens[s], x)`` is
+        Phi_s x, at base B + lo for x at base B."""
+        lo = min(f.min_exp for cols in self.gen_cols for col in cols for _, f in col)
+        gens = [
+            [(j, r, pack(f, lo, b)) for j, col in enumerate(cols) for r, f in col]
+            for cols in self.gen_cols
+        ]
+        return gens, lo
+
+    def images(self, vec: List[int], gens) -> List[List[int]]:
+        """Phi_z vec for every group element z, on packed ints (gens from
+        ``packed_gens``), one ``_sparse_step`` each: in length order, any left
+        descent s of z gives the length-additive z = s * (s z), so the image
+        at z is Phi_s of one already computed.  For vec at base B the image
+        at z has base B + l(z) lo."""
+        g = self.alg.group
+        out: List[List[int]] = [None] * g.size  # type: ignore[list-item]
+        out[g.id_of(g.identity)] = list(vec)
         # the identity, the one element of length 0, sorts first
         for eid in sorted(range(g.size), key=lambda e: g.lengths[e])[1:]:
             for s in range(g.rank):
                 par = g.lmul_id(s, eid)
                 if g.lengths[par] < g.lengths[eid]:
-                    out[eid] = self.apply(self.gen_cols[s], out[par], zero)
+                    out[eid] = _sparse_step(gens[s], out[par])
                     break
+        return out
+
+    def apply_packed(self, gens, word: Sequence[int], vec: List[int]) -> List[int]:
+        """Phi_word vec on packed ints, the last letter acting first; the
+        base grows by len(word) lo (``packed_gens``)."""
+        for s in reversed(word):
+            vec = _sparse_step(gens[s], vec)
+        return vec
+
+    def unpacked_images(self, vecs) -> List[List[List[LaurentPoly]]]:
+        """The ``images`` table of each integral block vector in vecs,
+        unpacked.  Phi_z x has coefficients at most C^l(z) |x|_inf <=
+        C^l(w0) |x|_inf (C from ``gen_norm``), which sets one width b."""
+        g = self.alg.group
+        lens = g.lengths
+        bound = self.gen_norm() ** lens[g.longest_id] * max(map(_norm_inf, vecs))
+        b = bound.bit_length() + 1
+        gens, lo_g = self.packed_gens(b)
+        out = []
+        for x in vecs:
+            lo = min((a.min_exp for a in x if a), default=0)
+            tab = self.images([pack(a, lo, b) for a in x], gens)
+            out.append([[unpack(a, lo + lens[z] * lo_g, b) for a in img] for z, img in enumerate(tab)])
         return out
 
     def twist_poly(self, bp: BivarPoly, num: List[LaurentPoly]) -> List[LaurentPoly]:
@@ -359,6 +445,8 @@ class KModule:
         """(start, block, [vec on the block for vec in vecs]) per block: the one
         place that knows the layout, blocks concatenated in ``kl.algebras``
         order, block coordinate j at flat index start + j."""
+        if any(len(vec) != self.dim for vec in vecs):
+            raise ValueError("vector has wrong dimension")
         start = 0
         for blk in self.blocks:
             yield start, blk, [vec[start : start + blk.dim] for vec in vecs]
@@ -428,8 +516,9 @@ class KModule:
         wid = w if isinstance(w, int) else g.id_of(w)
         winv = g.inv_id(wid)
         (k,), den = _clear_denominators([k])
-        tab = self._all_images(k)
-        return KTuple._of(self, [tab[g.mul_id(y, winv)] for y in range(g.size)], den)
+        tabs = [blk.unpacked_images([part])[0] for _, blk, (part,) in self._parts([k])]
+        comps = [[x for tab in tabs for x in tab[g.mul_id(y, winv)]] for y in range(g.size)]
+        return KTuple._of(self, comps, den)
 
     def random_vector(self, rng, density: float = 0.5) -> List[Qv]:
         out = self.zero_vector()
@@ -503,65 +592,71 @@ class KModule:
                 )
         return out
 
-    def _all_images(self, vec: list) -> List[list]:
-        """Phi_z vec for every group element z, block by block (``OrbitModule.images``)."""
-        tabs = [blk.images(part) for _, blk, (part,) in self._parts([vec])]
-        return [[x for tab in tabs for x in tab[z]] for z in range(self.group.size)]
-
     def canonical_identity(self, k: Sequence) -> List[dict]:
         """Euler identity of the canonical complex on the free tuple at e.
 
         For every y, the alternating sum over nonempty J of the restricted
-        free components equals Phi_y k plus (-1)^(n-1) Phi_w0 Phi_{w0 y} k.
-        Checked over Z[v, v^-1] on D k, D the common denominator of k; a
-        failure witness is the difference divided back by D.
+        free components equals Phi_y k plus (-1)^(n-1) Phi_w0 Phi_{w0 y} k:
+        lhs - rhs is a signed sum of T + 2 terms Phi_z Phi_x k, T the number
+        of (J, coset representative x) pairs.  Checked over Z[v, v^-1] on
+        D k, D the common denominator of k, and on Kronecker-packed ints,
+        block by block: k is packed at its least exponent lo_k, the image
+        tables of ``OrbitModule.images`` give Phi_z Phi_x k at base lo_k +
+        (l(z) + l(x)) lo_g, and Phi_w0 is applied to Phi_{w0 y} k with the
+        same step.  The terms are shifted to their least base and summed as
+        ints.  Width: every term has l(z) + l(x) <= 2 l(w0) generator steps,
+        each multiplying the largest coefficient by at most C
+        (``OrbitModule.gen_norm``), so lhs - rhs has coefficients at most
+        bound = (T + 2) C^(2 l(w0)) |D k|_inf on the block, and b =
+        bound.bit_length() + 1 fits them in a signed slot.  v -> 2^b is a
+        ring homomorphism, injective on such polynomials, so lhs - rhs is
+        zero exactly when its int is.  Only a failing y is unpacked: its
+        witness is lhs - rhs divided back by D.
         """
         g = self.group
         n = g.rank
+        lens = g.lengths
+        w0 = g.longest_id
+        top = lens[w0]
         (k,), den = _clear_denominators([k])
-        tab_k = self._all_images(k)
-        # tabs[x][z] = Phi_z Phi_x k over every coset representative x
-        terms: List[Tuple[int, List[int]]] = []  # (sign, rep ids)
-        tabs: Dict[int, List[list]] = {g.id_of(g.identity): tab_k}
+        terms: List[Tuple[int, int]] = []  # (sign, rep id) per (J, representative)
         for bits in range(1, 1 << n):
             jset = [i for i in range(n) if bits >> i & 1]
             kset = [i for i in range(n) if i not in jset]
             sign = -1 if len(jset) % 2 == 0 else 1
-            reps = [g.id_of(x) for x in g.min_coset_reps(kset)]
-            for x in reps:
-                if x not in tabs:
-                    tabs[x] = self._all_images(tab_k[x])
-            terms.append((sign, reps))
-        w0 = g.longest_id
-        add_top = operator.add if (n - 1) % 2 == 0 else operator.sub
-        out = []
-        for y in range(g.size):
-            # merge raw coefficient maps, then normalize once
-            acc: List[dict] = [{} for _ in range(self.dim)]
-            for sign, reps in terms:
-                for x in reps:
-                    part = tabs[x][g.mul_id(y, g.inv_id(x))]
-                    for r, val in enumerate(part):
-                        if val:
-                            ar = acc[r]
-                            for e, c in val._c.items():
-                                ar[e] = ar.get(e, 0) + (c if sign > 0 else -c)
-            lhs = [LaurentPoly(a) for a in acc]
-            rhs = tab_k[y]
-            top = self.apply_element(w0, tab_k[g.mul_id(w0, y)])
-            rhs = list(map(add_top, rhs, top))
-            ok = lhs == rhs
-            out.append(
-                {
-                    "check": "canonical",
-                    "y": g.elements[y].word_str,
-                    "status": "pass" if ok else "fail",
-                    "witness": None
-                    if ok
-                    else _render_vec(_over(map(operator.sub, lhs, rhs), den)),
-                }
-            )
-        return out
+            terms.extend((sign, g.id_of(x)) for x in g.min_coset_reps(kset))
+        # per y, the left side's terms (sign, x, z) for Phi_z Phi_x k
+        left = [[(sign, x, g.mul_id(y, g.inv_id(x))) for sign, x in terms] for y in range(g.size)]
+        w0y = [g.mul_id(w0, y) for y in range(g.size)]
+        top_sign = 1 if (n - 1) % 2 == 0 else -1
+        bad: Dict[int, List[LaurentPoly]] = {}  # y -> lhs - rhs, for failing y
+        for start, blk, (part,) in self._parts([k]):
+            if not any(part):
+                continue
+            bound = (len(terms) + 2) * blk.gen_norm() ** (2 * top) * _norm_inf(part)
+            b = bound.bit_length() + 1
+            gens, lo_g = blk.packed_gens(b)
+            lo_k = min(x.min_exp for x in part if x)
+            tab_k = blk.images([pack(x, lo_k, b) for x in part], gens)
+            tabs = {x: blk.images(tab_k[x], gens) for x in {x for _, x in terms}}
+            for y in range(g.size):
+                summands = [(sign, tabs[x][z], lo_k + (lens[z] + lens[x]) * lo_g) for sign, x, z in left[y]]
+                summands.append((-1, tab_k[y], lo_k + lens[y] * lo_g))
+                phi = blk.apply_packed(gens, g.words[w0], tab_k[w0y[y]])
+                summands.append((-top_sign, phi, lo_k + (top + lens[w0y[y]]) * lo_g))
+                diff, base = _packed_sum(summands, b)
+                if any(diff):
+                    vec = bad.setdefault(y, [LaurentPoly.zero()] * self.dim)
+                    vec[start : start + blk.dim] = [unpack(a, base, b) for a in diff]
+        return [
+            {
+                "check": "canonical",
+                "y": g.elements[y].word_str,
+                "status": "fail" if y in bad else "pass",
+                "witness": _render_vec(_over(bad[y], den)) if y in bad else None,
+            }
+            for y in range(g.size)
+        ]
 
     # -- localization splitting ----------------------------------------------------
 
@@ -597,26 +692,45 @@ class KModule:
             if got != [x * pv for x in comp[w]]:
                 raise IdentityFailure("a0 + a1 differs from p(v) a")
         cert["sum"] = "pass"
-        v4m1 = LaurentPoly.monomial(4) - LaurentPoly.one()
+        # (ii) and (iii) on packed ints, block by block: a0 at its least
+        # exponent lo, d = a0_sw - Phi_s a0_w, and (Phi_s^2 - 1) d = (v^4 - 1) d
+        # checked as Phi_s^2 d = v^4 d, v^4 d being d at base + 4.  With C
+        # from gen_norm and A = |a0|_inf on the block, Phi_s^2 a0_w - a0_w,
+        # d and Phi_s^2 d - v^4 d have coefficients at most (C^2 + 1)(C + 1) A.
+        blocks = []
+        for _, blk, parts in self._parts(a0c):
+            norm = max(map(_norm_inf, parts))
+            if norm:
+                c = blk.gen_norm()
+                b = ((c * c + 1) * (c + 1) * norm).bit_length() + 1
+                gens, lo_g = blk.packed_gens(b)
+                lo = min(x.min_exp for part in parts for x in part if x)
+                packed = [[pack(x, lo, b) for x in part] for part in parts]
+                blocks.append((blk, gens, lo_g, b, lo, packed))
         for s in range(g.rank):
             for w in range(g.size):
-                vec = a0c[w]
-                sq = self.apply_generator(s, self.apply_generator(s, vec))
-                if sq != list(vec):
+                sw = g.lmul_id(s, w)
+                fixed = step = free = True
+                for blk, gens, lo_g, b, lo, packed in blocks:
+                    x = packed[w]
+                    sx = blk.apply_packed(gens, (s,), x)
+                    sq = blk.apply_packed(gens, (s,), sx)
+                    fixed &= not any(_packed_sum([(1, sq, lo + 2 * lo_g), (-1, x, lo)], b)[0])
+                    d, bd = _packed_sum([(1, packed[sw], lo), (-1, sx, lo + lo_g)], b)
+                    dd = blk.apply_packed(gens, (s, s), d)
+                    step &= not any(_packed_sum([(1, dd, bd + 2 * lo_g), (-1, d, bd + 4)], b)[0])
+                    free &= not any(d)
+                if not fixed:
                     raise IdentityFailure(
                         "Phi_s^2 does not fix a0 at s=%d, w=%s"
                         % (s + 1, g.elements[w].word_str)
                     )
-                sw = g.lmul_id(s, w)
-                d = [x - y for x, y in zip(a0c[sw], self.apply_generator(s, a0c[w]))]
-                lhs = self.apply_generator(s, self.apply_generator(s, d))
-                lhs = [x - y for x, y in zip(lhs, d)]
-                if lhs != [v4m1 * x for x in d]:
+                if not step:
                     raise IdentityFailure(
                         "proof step fails at s=%d, w=%s"
                         % (s + 1, g.elements[w].word_str)
                     )
-                if any(d):
+                if not free:
                     raise IdentityFailure(
                         "a0 is not free-compatible at s=%d, w=%s"
                         % (s + 1, g.elements[w].word_str)
@@ -679,7 +793,7 @@ class KModule:
             n = blk.dim
             # tabs[b][z] = Phi_z of the block's b-th basis vector, over Z[v, v^-1]
             zero, one = LaurentPoly.zero(), LaurentPoly.one()
-            tabs = [blk.images([zero] * b + [one] + [zero] * (n - b - 1)) for b in range(n)]
+            tabs = blk.unpacked_images([[zero] * b + [one] + [zero] * (n - b - 1) for b in range(n)])
             cols, labels = [], []
             for w in range(g.size):
                 winv = g.inv_id(w)

@@ -355,30 +355,136 @@ def test_canonical_identity_random_vectors():
             assert all(r["status"] == "pass" for r in rep)
 
 
-def test_canonical_identity_true_denominator():
+def test_canonical_identity_true_denominator(monkeypatch):
     M = KModule.for_type("A2", 2)
     k = M.random_vector(random.Random(5))
     kq = [x * Qv(1, lp({0: 1, 2: 1})) for x in k]
     assert any(not x.is_polynomial for x in kq)
     assert M.canonical_identity(kq) == M.canonical_identity(k)
     # double the first Phi_w0 the identity applies, the one on the y = e
-    # side: in rank two rhs = Phi_y k - Phi_w0 Phi_{w0 y} k, so that report
-    # alone fails, with lhs - rhs = Phi_w0 Phi_w0 k over Q(v)
+    # side, in every block: in rank two rhs = Phi_y k - Phi_w0 Phi_{w0 y} k,
+    # so that report alone fails, with lhs - rhs = Phi_w0 Phi_w0 k over Q(v)
     orig = M.apply_element
-    calls = []
+    packed = OrbitModule.apply_packed
+    seen = set()
 
-    def broken(w, vec):
-        calls.append(w)
-        out = orig(w, vec)
-        return [2 * x for x in out] if len(calls) == 1 else out
+    def broken(blk, gens, word, vec):
+        out = packed(blk, gens, word, vec)
+        if blk in seen:
+            return out
+        seen.add(blk)
+        assert tuple(word) == M.group.words[M.group.longest_id]
+        return [2 * x for x in out]
 
-    M.apply_element = broken
+    monkeypatch.setattr(OrbitModule, "apply_packed", broken)
     rep = M.canonical_identity(kq)
     assert [r["status"] for r in rep] == ["fail"] + ["pass"] * (M.group.size - 1)
     assert rep[0]["y"] == M.group.identity.word_str
     w0 = M.group.longest_id
     assert rep[0]["witness"] == _render_vec(orig(w0, orig(w0, kq)))
     assert "/ (1 + v^2)" in rep[0]["witness"]
+
+
+def euler_reference(M, k):
+    # per y, the rendered lhs - rhs of the Euler identity, or None where the
+    # sides agree, from apply_element and LaurentPoly arithmetic only: the
+    # left side sums Phi_{y x^-1} Phi_x k over nonempty J and the minimal
+    # x in their cosets W_K x, K the complement of J (as perfbench's
+    # euler_sides does, there over Q(v))
+    g = M.group
+    n = g.rank
+    w0 = g.longest_id
+    phi_x, memo = {}, {}
+
+    def image(z, x):
+        if x not in phi_x:
+            phi_x[x] = M.apply_element(x, k)
+        if (z, x) not in memo:
+            memo[z, x] = M.apply_element(z, phi_x[x])
+        return memo[z, x]
+
+    out = []
+    for y in range(g.size):
+        lhs = [LaurentPoly.zero()] * M.dim
+        for bits in range(1, 1 << n):
+            kset = [s for s in range(n) if not bits >> s & 1]
+            sign = 1 if bin(bits).count("1") % 2 else -1
+            for x in range(g.size):
+                if all(g.lengths[g.lmul_id(s, x)] > g.lengths[x] for s in kset):
+                    part = image(g.mul_id(y, g.inv_id(x)), x)
+                    lhs = [a + b if sign > 0 else a - b for a, b in zip(lhs, part)]
+        top = M.apply_element(w0, M.apply_element(g.mul_id(w0, y), k))
+        phi_y = M.apply_element(y, k)
+        rhs = [a + b if (n - 1) % 2 == 0 else a - b for a, b in zip(phi_y, top)]
+        diff = [a - b for a, b in zip(lhs, rhs)]
+        out.append(_render_vec([Qv(d) for d in diff]) if any(diff) else None)
+    return out
+
+
+@pytest.mark.parametrize(
+    "t, den, shift, broken",
+    [
+        ("A1", 6, 0, False),
+        ("A2", 2, 0, False),
+        ("B2", 2, 0, False),
+        ("G2", 6, 0, False),
+        ("A2", 2, -1, False),
+        ("A2", 2, 0, True),
+        ("B2", 2, 2, True),
+    ],
+)
+def test_canonical_identity_matches_laurent_reference(t, den, shift, broken):
+    M = KModule.for_type(t, den)
+    # Phi_s's least exponent is 0 in these modules; v^shift Phi_s moves it
+    # (the identity still holds), and adding v^3 to one entry of Phi_1 per
+    # block breaks the relations and the identity at some y.  The reference
+    # reads the same columns, so verdicts and witnesses must still agree.
+    for blk in M.blocks:
+        blk.gen_cols = [[[(r, f.shifted(shift)) for r, f in col] for col in cols] for cols in blk.gen_cols]
+        if broken:
+            (r, f), *rest = blk.gen_cols[0][0]
+            blk.gen_cols[0][0] = [(r, f + lp({3: 1}))] + rest
+    rng = random.Random(41)
+    zero = LaurentPoly.zero()
+    k = rand_poly_vec(M, rng, density=0.6)
+    start, blk, _ = list(M._parts([]))[-1]
+    vecs = [
+        k,
+        [zero] * M.dim,
+        [x if start <= i < start + blk.dim else zero for i, x in enumerate(k)],
+    ]
+    if t == "A1":
+        vecs += [[lp({0: 1}) if i == j else zero for j in range(M.dim)] for i in range(M.dim)]
+    if t in ("A2", "B2"):
+        vecs.append([x.shifted(-5) for x in k])
+        vecs.append(
+            [lp({-2: 2**200 + rng.randrange(99), 1: -(2**199)}) if x else x for x in k]
+        )
+    if t == "G2":
+        vecs = vecs[:1]
+    verdicts = []
+    for vec in vecs:
+        rep = M.canonical_identity(vec)
+        want = euler_reference(M, vec)
+        assert [r["y"] for r in rep] == [el.word_str for el in M.group.elements]
+        assert [r["witness"] for r in rep] == want, (t, shift)
+        assert [r["status"] for r in rep] == ["pass" if w is None else "fail" for w in want]
+        verdicts += [r["status"] for r in rep]
+    assert ("fail" in verdicts) == broken
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_vectors_of_wrong_dimension_are_rejected(delta):
+    M = KModule.for_type("A2", 2)
+    vec = [LaurentPoly.one()] * (M.dim + delta)
+    calls = [
+        lambda: M.canonical_identity(vec),
+        lambda: M.apply_generator(0, vec),
+        lambda: M.apply_twist_poly(annihilator_family(1), vec),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="vector has wrong dimension"):
+            call()
 
 
 def test_polyconj_split_contracts():
