@@ -3,9 +3,14 @@
 ``reduce_pair`` and ``echelon_row`` eliminate fraction-free over
 Z[v, v^-1]; the gluing solver and the Krylov minimal polynomial use them,
 and only the monic minimal polynomial is divided into Q(v).
-``solve_linear`` takes and returns lists of Qv and stays in Q(v): on the
-15 systems of one ``split`` round, a fraction-free Bareiss version took
-9.3 s against 0.88 s, with the same answers (2-core VM, CPython 3.11).
+``solve_linear``, dense Gauss-Jordan on lists of Qv, has no caller in
+the package: the tests solve with it as the reference for the free-span
+solver (``k0model.OrbitModule.solve_free``), a cached sparse column
+echelon that also stays in Q(v).  Fraction-free elimination does not suit
+that echelon: built with ``reduce_pair`` on the 8-dim block of B2/3 (rank
+33 of 64), its preimages swelled to 267-bit coefficients and a v-degree
+span of 1808, and the build took 63 s against 1.8 s over Q(v) (2-core VM,
+CPython 3.11).
 Univariate polynomials over Q(v) are lists of Qv coefficients in
 ascending degree.  Everything here is deterministic and exact.
 """

@@ -528,6 +528,37 @@ def test_polyconj_paper_range_fails_in_rank_one():
         M.polyconj_split(a, m="paper")
 
 
+def test_annihilation_check_sees_a_bumped_a1(monkeypatch):
+    # check (iv) decides Ptilde(F) a1 = 0 on the packed accumulators
+    M = KModule.for_type("A2", 2)
+    a = M.random_free_combination(random.Random(3), 2)
+    a0, a1, _ = M.polyconj_split(a)
+    assert a.den == LaurentPoly.one()
+    ptilde = annihilator_family(resolve_m(None, M.group), tilde=True)
+    assert all(M._twist_residual(ptilde, vec) is None for vec in a1._c)
+    for w, i in ((0, 0), (3, M.dim - 1)):
+        bumped = list(a1._c[w])
+        bumped[i] = bumped[i] + lp({1: 1})
+        assert M._twist_residual(ptilde, bumped) == M.apply_twist_poly(ptilde, bumped)
+        assert any(M.apply_twist_poly(ptilde, bumped))
+    # moving v a0 from a0 into a1 keeps checks (i)-(iii) true, since (1 - v) a0
+    # is still Phi_s^2-fixed and free, so only (iv) can see that
+    # Ptilde(F) a1 = v Ptilde(F) a0 is nonzero
+    moved = [[lp({1: 1}) * x for x in vec] for vec in a0._c]
+    calls = []
+    orig = KModule.apply_twist_poly
+
+    def bumped_split(self, bp, vec):
+        w = calls.count(bp)
+        calls.append(bp)
+        sign = -1 if bp == ptilde else 1
+        return [x + sign * d for x, d in zip(orig(self, bp, vec), moved[w])]
+
+    monkeypatch.setattr(KModule, "apply_twist_poly", bumped_split)
+    with pytest.raises(IdentityFailure, match="Ptilde\\(F\\) does not annihilate a1 at e: \\[\\d+:"):
+        M.polyconj_split(a)
+
+
 def test_euclid_descent():
     rng = random.Random(31)
     M = KModule.for_type("A1", 6)
@@ -579,6 +610,104 @@ def test_express_scaled_combination():
     for k in (1, 3):
         res = M.express_in_free_span(a.scale(p_poly(mm) ** k))
         assert res is not None and res["admissible"]
+
+
+def dense_solve_free(blk, parts):
+    """Reference for ``OrbitModule.solve_free``: every stacked free tuple
+    F(w, e_j), entry (y, r) = (Phi_{y w^-1} e_j)_r, as a dense column in
+    (w, j) order, solved over Q(v) by ``linalg.solve_linear``."""
+    g = blk.alg.group
+    n = blk.dim
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    tabs = blk.unpacked_images([[zero] * j + [one] + [zero] * (n - j - 1) for j in range(n)])
+    cols, labels = [], []
+    for w in range(g.size):
+        winv = g.inv_id(w)
+        for j in range(n):
+            cols.append([Qv(x) for y in range(g.size) for x in tabs[j][g.mul_id(y, winv)]])
+            labels.append((w, j))
+    rows = [list(row) for row in zip(*cols)]
+    sol = linalg.solve_linear(rows, [Qv(x) for part in parts for x in part])
+    if sol is None:
+        return None
+    return {lab: c for lab, c in zip(labels, sol) if c}
+
+
+def c08_tuples(t, den, count=3, powers=(1, 2, 3)):
+    """c08's first tuples times p(v)^k, k in powers."""
+    M = KModule.for_type(t, den)
+    p = p_poly(resolve_m("safe", M.group))
+    rng = random.Random(4242)
+    tuples = [M.random_free_combination(rng, terms=2) for _ in range(count)]
+    return M, [a.scale(p ** k) for a in tuples for k in powers]
+
+
+def free_span_cases():
+    M = KModule.for_type("A1", 1)
+    yield "A1/1 constant", M, [M.constant_tuple()]
+    M = KModule.for_type("A1", 2)
+    yield "A1/2 constant", M, [M.constant_tuple()]
+    M = KModule.for_type("A2", 1)
+    a = M.random_free_combination(random.Random(9), 2)
+    yield "A2/1", M, [a.scale(p_poly(resolve_m("safe", M.group)) ** k) for k in (0, 1, 3)]
+    yield ("A2/3 c08",) + c08_tuples("A2", 3)
+    # the dense reference takes about 2 s per B2/2 tuple, so one
+    M, scaled = c08_tuples("B2", 2, count=1, powers=(1,))
+    yield "B2/2 c08", M, scaled
+
+
+def test_free_span_matches_dense_oracle(monkeypatch):
+    # the cached echelon returns the coefficients solve_linear does: both are
+    # the unique solution on the greedily chosen independent (w, j) columns
+    results = {}
+    for name, M, tuples in free_span_cases():
+        got = [M.express_in_free_span(a) for a in tuples]
+        with monkeypatch.context() as mp:
+            mp.setattr(OrbitModule, "solve_free", dense_solve_free)
+            want = [M.express_in_free_span(a) for a in tuples]
+        assert got == want, name
+        results[name] = got
+    # the cases cover Q(v) denominators, non-membership and rank deficiency
+    assert results["A1/1 constant"][0]["max_power"] == 1
+    assert results["A1/2 constant"] == [None]
+    assert all(r is not None and r["admissible"] for r in results["A2/3 c08"])
+    assert all(r is not None and r["admissible"] for r in results["B2/2 c08"])
+    M = KModule.for_type("B2", 2)
+    assert any(len(blk._solver("free", blk._build_free_solver)) < blk.dim * M.group.size for blk in M.blocks)
+
+
+def test_free_solver_built_once_per_block(monkeypatch):
+    builds = []
+    orig = OrbitModule._build_free_solver
+
+    def counted(self):
+        builds.append(id(self))
+        time.sleep(0.005)  # a slow build widens the window a race needs
+        return orig(self)
+
+    monkeypatch.setattr(OrbitModule, "_build_free_solver", counted)
+    M, scaled = c08_tuples("A2", 3, count=1)
+    outs = [M.express_in_free_span(a) for a in scaled]
+    assert all(out is not None and out["admissible"] for out in outs)
+    assert sorted(builds) == sorted(id(blk) for blk in M.blocks)
+
+    # two threads on a fresh module: each block's solver is still built once
+    builds.clear()
+    M, scaled = c08_tuples("A2", 3, count=1)
+    got = []
+    workers = [threading.Thread(target=lambda a=a: got.append(M.express_in_free_span(a))) for a in scaled[:2]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a race shows
+    try:
+        for th in workers:
+            th.start()
+        for th in workers:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in workers)
+    assert sorted(got, key=repr) == sorted(outs[:2], key=repr)
+    assert sorted(builds) == sorted(id(blk) for blk in M.blocks)
 
 
 def test_resolve_m():
