@@ -4,13 +4,22 @@ A point is a vector of rationals mod 1 in fundamental-weight coordinates, so
 the pairing with a simple coroot reads off a coordinate.  Each point carries a
 reflection subgroup W_L, the subsystem of roots whose coroots pair to zero,
 and a Poincare polynomial q_L built from intrinsic lengths.
+
+W acts by integer matrices, so every point of an orbit has the same
+denominator N, and orbits are computed on integer numerators mod N:
+``OrbitData`` walks the orbit, finds each point's kernel with an integer
+pairing mod N, shares one ``Subsystem`` per kernel, and exposes integer
+generator-move and simple-kernel tables.  ``CharacterPoint`` keeps Fraction
+coordinates for rendering and ordering; the Fraction helpers ``pairing``,
+``act_generator``, ``act`` and ``wl_subsystem`` act on single points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import product
+from math import gcd, lcm
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .coxeter import Subsystem, WeylElement, WeylGroup
 from .rings import LaurentPoly
@@ -45,6 +54,20 @@ class CharacterPoint:
 
     def __hash__(self):
         return self._hash
+
+    @classmethod
+    def from_numerators(cls, nums: Sequence[int], den: int) -> "CharacterPoint":
+        """The point nums / den, for 0 <= nums[i] < den with gcd(den, *nums) = 1."""
+        pt = cls.__new__(cls)
+        pt.coords = tuple(Fraction(x, den) for x in nums)
+        pt.denominator = den
+        pt._hash = hash(pt.coords)
+        return pt
+
+    def numerators(self) -> Tuple[int, ...]:
+        """The coordinates times the denominator, as integers."""
+        N = self.denominator
+        return tuple(c.numerator * (N // c.denominator) for c in self.coords)
 
     def render(self) -> str:
         return ",".join(str(c) for c in self.coords)
@@ -96,66 +119,107 @@ def _cache(W: WeylGroup) -> dict:
     return got
 
 
-def wl_subsystem(W: WeylGroup, lam: CharacterPoint) -> Subsystem:
-    """The reflection subgroup of roots on which lam vanishes."""
+def _kernel_subsystem(W: WeylGroup, kernel: Tuple[int, ...]) -> Subsystem:
+    """The reflection subgroup on a point's kernel, one per kernel and group."""
     cache = _cache(W)
-    key = ("wl", lam.coords)
+    key = ("kernel", kernel)
     got = cache.get(key)
     if got is None:
-        kernel = [
-            k
-            for k in range(W.n_positive)
-            if pairing(lam, W.root_pairs[k][1]) == 0
-        ]
         got = W.reflection_subgroup(kernel)
-        # the kernel set is already reflection-closed
-        assert not got.closure_added
+        # the roots a character kills are closed under their own reflections
+        if got.closure_added:
+            raise AssertionError("kernel %r is not reflection-closed" % (kernel,))
         cache[key] = got
     return got
+
+
+def wl_subsystem(W: WeylGroup, lam: CharacterPoint) -> Subsystem:
+    """The reflection subgroup of roots on which lam vanishes."""
+    kernel = tuple(
+        k for k in range(W.n_positive) if pairing(lam, W.root_pairs[k][1]) == 0
+    )
+    return _kernel_subsystem(W, kernel)
 
 
 class OrbitData:
     """Full W-orbit of a point with per-point W_L data.
 
-    points are sorted with the representative (the least point) first; the
-    product of the orbit size and the group-theoretic stabilizer order is the
-    group order.
+    points are sorted with the representative (the least point) first, and
+    numerators[i] is points[i] times den, the denominator of every point.
+    gen_move[s][i] is the index of s applied to points[i], simple_kernel[s][i]
+    whether the simple coroot s pairs to zero with it, and kernels[i] its
+    positive roots pairing to zero.  The product of the orbit size and the
+    group-theoretic stabilizer order is the group order.
     """
 
     def __init__(self, W: WeylGroup, lam: CharacterPoint):
         self.group = W
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for j in range(W.rank):
-                    q = act_generator(W, j, p)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        pts = sorted(seen)
-        self.points: Tuple[CharacterPoint, ...] = tuple(pts)
+        N = lam.denominator
+        n = W.rank
+        cols = [[row[j] for row in W.datum.cartan_matrix] for j in range(n)]
+        start = lam.numerators()
+        moves = {}
+        seen = {start}
+        todo = [start]
+        while todo:
+            a = todo.pop()
+            # s_j subtracts a_j times column j of the Cartan matrix, mod N
+            moves[a] = [
+                a if not a[j] else tuple((x - a[j] * c) % N for x, c in zip(a, col))
+                for j, col in enumerate(cols)
+            ]
+            for b in moves[a]:
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        nums = sorted(moves)
+        index = {a: i for i, a in enumerate(nums)}
+        self.den = N
+        self.numerators: Tuple[Tuple[int, ...], ...] = tuple(nums)
+        self.gen_move = tuple(
+            tuple(index[moves[a][j]] for a in nums) for j in range(n)
+        )
+        self.simple_kernel = tuple(tuple(not a[j] for a in nums) for j in range(n))
+        coroots = [W.root_pairs[k][1] for k in range(W.n_positive)]
+        self.kernels = tuple(
+            tuple(
+                k
+                for k, c in enumerate(coroots)
+                if not sum(x * y for x, y in zip(a, c)) % N
+            )
+            for a in nums
+        )
+        pts = tuple(CharacterPoint.from_numerators(a, N) for a in nums)
+        self.points: Tuple[CharacterPoint, ...] = pts
         self.representative = pts[0]
+        self._index = {p: i for i, p in enumerate(pts)}
         self.stabilizers: Dict[CharacterPoint, Subsystem] = {
-            p: wl_subsystem(W, p) for p in pts
+            p: _kernel_subsystem(W, kern) for p, kern in zip(pts, self.kernels)
         }
         self.w0L: Dict[CharacterPoint, WeylElement] = {
-            p: self.stabilizers[p].w0 for p in pts
+            p: sub.w0 for p, sub in self.stabilizers.items()
         }
-        rep = self.representative
-        self.stabilizer_order = sum(
-            1 for w in W.elements if act(W, w, rep) == rep
-        )
-        assert len(pts) * self.stabilizer_order == W.size
+        # images of the representative along canonical words: w = s (s w)
+        img = [0] * W.size
+        for eid in range(1, W.size):
+            s = W.words[eid][0]
+            img[eid] = self.gen_move[s][img[W.lmul_id(s, eid)]]
+        self.stabilizer_order = img.count(0)
+        if len(pts) * self.stabilizer_order != W.size:
+            raise AssertionError(
+                "orbit of %s: %d points times stabilizer order %d is not %d"
+                % (lam.render(), len(pts), self.stabilizer_order, W.size)
+            )
 
     @property
     def size(self) -> int:
         return len(self.points)
 
     def index_of(self, p: CharacterPoint) -> int:
-        return self.points.index(p)
+        got = self._index.get(p)
+        if got is None:
+            raise ValueError("%r is not in %r" % (p, self))
+        return got
 
     def __repr__(self):
         return "Orbit(%s; %d points)" % (self.representative.render(), self.size)
@@ -173,20 +237,19 @@ class OrbitData:
 
 def orbit(W: WeylGroup, lam: CharacterPoint) -> OrbitData:
     cache = _cache(W)
-    probe = cache.get(("orbit_of", lam.coords))
+    probe = cache.get(("orbit_of", lam.denominator, lam.numerators()))
     if probe is not None:
         return probe
     data = OrbitData(W, lam)
-    for p in data.points:
-        cache[("orbit_of", p.coords)] = data
+    for a in data.numerators:
+        cache[("orbit_of", data.den, a)] = data
     return data
 
 
-def _points_with_denominator(W: WeylGroup, N: int) -> List[CharacterPoint]:
-    pts = [()]
-    for _ in range(W.rank):
-        pts = [p + (Fraction(a, N),) for p in pts for a in range(N)]
-    return [CharacterPoint(p) for p in pts]
+def _points_with_denominator(W: WeylGroup, N: int) -> Iterator[Tuple[int, ...]]:
+    """Numerators of every point a / N, including points whose reduced
+    denominator is a proper divisor of N."""
+    return product(range(N), repeat=W.rank)
 
 
 def orbit_set(
@@ -208,11 +271,13 @@ def orbit_set(
     seen = set()
     out = []
     for N in dens:
-        for p in _points_with_denominator(W, N):
-            if p in seen:
+        for a in _points_with_denominator(W, N):
+            g = gcd(N, *a)
+            key = (N // g, tuple(x // g for x in a))
+            if key in seen:
                 continue
-            data = orbit(W, p)
-            seen.update(data.points)
+            data = orbit(W, CharacterPoint.from_numerators(key[1], key[0]))
+            seen.update((data.den, b) for b in data.numerators)
             out.append(data)
     out.sort(key=lambda o: o.representative.coords)
     return tuple(out)

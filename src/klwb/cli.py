@@ -27,7 +27,7 @@ from .charpoints import (
     POSITIVE_V2,
     chevalley_divisibility,
     orbit_set,
-    poincare_q,
+    poincare_of_subsystem,
 )
 from .coxeter import build_weyl
 from .hecke import LY, STD, hecke_algebra
@@ -324,7 +324,7 @@ def _suite_chevalley(cfg: RunConfig) -> List[dict]:
     def one(orb):
         lam = orb.representative
         rows = []
-        qpos = poincare_q(W, lam, POSITIVE_V2)
+        qpos = poincare_of_subsystem(orb.stabilizers[lam], POSITIVE_V2)
         safe = chevalley_divisibility(qpos, 2 * lw0)
         ivals = sorted(i for _, i, mult in safe.factors for _ in range(mult))
         rows.append(
@@ -346,7 +346,7 @@ def _suite_chevalley(cfg: RunConfig) -> List[dict]:
                     % (lam.render(), lw0, paper.remainder.render()),
                 )
             )
-        qneg = poincare_q(W, lam, NEGATIVE_V2)
+        qneg = poincare_of_subsystem(orb.stabilizers[lam], NEGATIVE_V2)
         alt = chevalley_divisibility(qneg, lw0)
         if not alt.success:
             rows.append(
@@ -476,8 +476,8 @@ def _dump_qpoly(cfg: RunConfig) -> List[dict]:
                 % (
                     lam.render(),
                     sub.cartan_type,
-                    poincare_q(W, lam, POSITIVE_V2).render(),
-                    poincare_q(W, lam, NEGATIVE_V2).render(),
+                    poincare_of_subsystem(sub, POSITIVE_V2).render(),
+                    poincare_of_subsystem(sub, NEGATIVE_V2).render(),
                 ),
             )
         )

@@ -19,7 +19,7 @@ and in orbit blocks whose W_L contains s; FREE_RULE (T_s^2 = 1) elsewhere.
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import minpoly_operator, qpoly_to_bivar, sparse_operator
 from .rings import BivarPoly, LaurentPoly
@@ -31,6 +31,7 @@ _ONE = LaurentPoly.one()
 _V = LaurentPoly.monomial(1)
 _VINV = LaurentPoly.monomial(-1)
 _V2 = LaurentPoly.monomial(2)
+_V_VINV = _V - _VINV
 
 # quadratic rules (qa, qb) on a descent: T_s^2 = qa + qb T_s; FREE_RULE
 # is T_s^2 = 1, with None for the absent T_s term
@@ -206,6 +207,7 @@ class HeckeAlgebra:
         self._inv_basis: Dict[int, HeckeElement] = {}
         self._convert: Dict[str, Dict[int, HeckeElement]] = {}
         self._cells: Optional[CellDecomposition] = None
+        self._central: Dict[HeckeElement, Callable[[HeckeElement], HeckeElement]] = {}
 
     def __repr__(self):
         return "Hecke<%s>" % self.convention
@@ -397,6 +399,45 @@ class HeckeAlgebra:
                 return False
         return True
 
+    def central_action(self, z: HeckeElement) -> Callable[[HeckeElement], HeckeElement]:
+        """Left multiplication by a central z of this algebra, as a map on
+        std elements; z is converted to std and checked once per algebra.
+
+        The full twist T_w0^2 acts through the word of w0 twice: 2 l(w0)
+        generator steps instead of a product over its |W| terms.  In ly it
+        is v^(2 l(w0)) T_w0^-2 in std, each step T_s^-1 = T_s + v - 1/v.
+        """
+        if z.algebra is not self:
+            raise ConventionMismatch("element from another algebra")
+        got = self._central.get(z)
+        if got is None:
+            zs = convert_convention(z, STD)
+            std = zs.algebra
+            if not std.is_central(zs):
+                raise NotCentral("element does not commute with the generators")
+            if z != self.full_twist():
+                got = lambda a: std.t_mul(zs, a)
+            else:
+                g = self.group
+                letters = tuple(reversed(g.words[g.longest_id] * 2))
+                ly = self.convention == LY
+                shift = 2 * g.lengths[g.longest_id]
+
+                def got(a: HeckeElement) -> HeckeElement:
+                    cur = a._t
+                    for s in letters:
+                        out = lmul_gen(g, s, cur, std._rules)
+                        if ly:
+                            for k, c in cur.items():
+                                out[k] = out.get(k, LaurentPoly.zero()) + _V_VINV * c
+                        cur = out
+                    if ly:
+                        cur = {k: c.shifted(shift) for k, c in cur.items()}
+                    return HeckeElement(std, cur)
+
+            self._central[z] = got
+        return got
+
     def cell_scalar(self, z: HeckeElement, cell) -> Optional[Tuple[int, int]]:
         """Scalar of a central element on one cell subquotient.
 
@@ -404,11 +445,8 @@ class HeckeAlgebra:
         spanned by the cell's C_x is the scalar sign * v^exponent; None when
         the matrix is not such a scalar.
         """
-        if z.algebra.convention != STD:
-            z = convert_convention(z, STD)
-        alg = z.algebra
-        if not alg.is_central(z):
-            raise NotCentral("element does not commute with the generators")
+        times_z = z.algebra.central_action(z)
+        alg = hecke_algebra(z.algebra.group, STD)
         dec = alg.cells()
         cid = dec.cell_index(cell)
         members = [alg.group.id_of(x) for x in dec.two_sided[cid]]
@@ -417,8 +455,7 @@ class HeckeAlgebra:
             [LaurentPoly.zero()] * len(members) for _ in members
         ]
         for col, x in enumerate(members):
-            prod = alg.t_mul(z, alg.kl_basis(x))
-            for y, c in alg.kl_expand(prod).items():
+            for y, c in alg.kl_expand(times_z(alg.kl_basis(x))).items():
                 if y in place:
                     mat[place[y]][col] = c
                 else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .charpoints import OrbitData, act_generator, orbit_set, pairing
+from .charpoints import OrbitData, orbit_set
 from .hecke import FREE_RULE, LY, LY_RULE, HeckeElement, hecke_algebra, lmul_gen, word_label
 from .linalg import bivar_divides, minpoly_operator, qpoly_lcm, qpoly_to_bivar, sparse_operator
 from .rings import (
@@ -72,22 +72,14 @@ class OrbitAlgebra:
         self.group = W
         self.orbit = orb
         npts = orb.size
-        # generator moves on points, and per-point kernel membership of each s
-        self._gen_move = [
-            [orb.index_of(act_generator(W, s, p)) for p in orb.points]
-            for s in range(W.rank)
-        ]
-        self._in_wl = [
-            [pairing(p, W.root_pairs[s][1]) == 0 for p in orb.points]
-            for s in range(W.rank)
-        ]
+        # per-point kernel membership of each s
+        self._in_wl = orb.simple_kernel
         # moved[eid][pidx] = index of w L, filled along canonical words
         moved: List[List[int]] = [list(range(npts))]
         for eid in range(1, W.size):
             s = W.words[eid][0]
-            rest = W.lmul_id(s, eid)
-            gm = self._gen_move[s]
-            moved.append([gm[q] for q in moved[rest]])
+            gm = orb.gen_move[s]
+            moved.append([gm[q] for q in moved[W.lmul_id(s, eid)]])
         self._moved = moved
         # rules[pidx][s][eid]: the quadratic rule of T_s on T_eid 1_L, that
         # of the block w L where T_eid 1_L lands

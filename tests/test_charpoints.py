@@ -1,13 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import klwb
+from klwb import charpoints
 from klwb.charpoints import (
     NEGATIVE_V2,
     POSITIVE_V2,
     CharacterPoint,
+    OrbitData,
     act,
+    act_generator,
     chevalley_divisibility,
     cyclotomic,
     orbit,
@@ -247,3 +255,97 @@ def test_orbit_json():
     assert len(j["points"]) == 3
     assert set(j["stabilizer_types"].values()) == {"A1"}
     assert j["points"][0] == j["representative"]
+
+
+# -- integer orbit tables against the Fraction helpers ------------------------
+
+ORACLE_TYPES = ["A1", "A2", "B2", "G2", "A3"]
+_GROUPS = {t: build_weyl(t) for t in ORACLE_TYPES}
+
+
+@pytest.mark.parametrize("t", ORACLE_TYPES)
+def test_integer_tables_match_fraction_helpers(t):
+    W = build_weyl(t)
+    coroots = [W.root_pairs[k][1] for k in range(W.n_positive)]
+    for o in orbit_set(W, 6):
+        rep = o.representative
+        # points and their order, from the Fraction action
+        assert list(o.points) == sorted({act(W, w, rep) for w in W.elements})
+        assert all(p.denominator == o.den for p in o.points)
+        for p, a in zip(o.points, o.numerators):
+            assert p.coords == tuple(Fraction(x, o.den) for x in a)
+        subs = {}
+        for i, p in enumerate(o.points):
+            assert o.index_of(p) == i
+            for s in range(W.rank):
+                assert o.gen_move[s][i] == o.index_of(act_generator(W, s, p))
+                assert o.simple_kernel[s][i] == (pairing(p, coroots[s]) == 0)
+            kernel = tuple(k for k, c in enumerate(coroots) if pairing(p, c) == 0)
+            assert o.kernels[i] == kernel
+            sub = o.stabilizers[p]
+            assert sub.positive_roots == kernel
+            assert sub is wl_subsystem(W, p)
+            assert o.w0L[p] == sub.w0
+            # one Subsystem per kernel
+            assert subs.setdefault(kernel, sub) is sub
+        brute = sum(1 for w in W.elements if act(W, w, rep) == rep)
+        assert o.stabilizer_order == brute
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_integer_and_fraction_actions_commute(data):
+    W = _GROUPS[data.draw(st.sampled_from(ORACLE_TYPES))]
+    N = data.draw(st.integers(1, 12))
+    nums = data.draw(st.lists(st.integers(0, N - 1), min_size=W.rank, max_size=W.rank))
+    eid = data.draw(st.integers(0, W.size - 1))
+    lam = CharacterPoint(Fraction(x, N) for x in nums)
+    assert CharacterPoint.from_numerators(lam.numerators(), lam.denominator) == lam
+    o = orbit(W, lam)
+    i = o.index_of(lam)
+    for s in reversed(W.words[eid]):
+        i = o.gen_move[s][i]
+    moved = act(W, W.elements[eid], lam)
+    assert moved.numerators() == o.numerators[i]
+    assert moved == CharacterPoint.from_numerators(o.numerators[i], o.den)
+
+
+# -- invariant checks that stay on under python -O ------------------------------
+
+
+def test_kernel_closure_check_rejects_an_open_kernel():
+    # A2's simple roots without their sum are not reflection-closed
+    with pytest.raises(AssertionError, match="not reflection-closed"):
+        charpoints._kernel_subsystem(build_weyl("A2"), (0, 1))
+
+
+def test_orbit_stabilizer_check_rejects_a_corrupted_table(monkeypatch):
+    W = build_weyl("A2")
+    # every s w read as the identity: the stabilizer walk counts 4, not 2
+    monkeypatch.setattr(W, "lmul_id", lambda s, eid: 0)
+    with pytest.raises(AssertionError, match="stabilizer order 4 is not 6"):
+        OrbitData(W, parse_point("0,1/2"))
+
+
+def test_invariant_checks_run_under_optimize():
+    script = """
+from klwb import charpoints
+from klwb.coxeter import build_weyl
+W = build_weyl("A2")
+for bad in (
+    lambda: charpoints._kernel_subsystem(W, (0, 1)),
+    lambda: (setattr(W, "lmul_id", lambda s, eid: 0),
+             charpoints.OrbitData(W, charpoints.parse_point("0,1/2"))),
+):
+    try:
+        bad()
+    except AssertionError:
+        continue
+    raise SystemExit("check skipped")
+"""
+    src = os.path.dirname(os.path.dirname(klwb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr

@@ -298,7 +298,8 @@ def test_runconfig_validation():
 
 
 # sha256 of "<exit code>\n" + stdout for every verify suite and dump table on
-# A1 and A2 at the default den, text and --json.  A refactor that must keep
+# A1 and A2 at the default den, text and --json, and for the orbit, qpoly,
+# chevalley and cell reports on B2, G2 and A3.  A refactor that must keep
 # the report bytes re-runs this; a change that alters output on purpose
 # re-pins the affected entries and says why.
 PINNED_OUTPUT_SHA256 = {
@@ -358,6 +359,36 @@ PINNED_OUTPUT_SHA256 = {
     "dump qpoly --type A2 --json": "89298f62c08f50a49677f1573aa9e71d8a52981ca85679832e354e072f23bdb9",
     "dump orbit_table --type A2": "57f42a33ead8321390f6bf5e59629285aa97c694ca0aa9be33c0319624be716b",
     "dump orbit_table --type A2 --json": "a0ce0f19da9e9cb0abd24685219433c178780021d91ff8b75d1378426be0d63f",
+    "dump orbit_table --type B2": "4e3b9542cbab1bb61dffb31d3dfdda0bed9cff3150aa156508b20efd78667428",
+    "dump orbit_table --type B2 --json": "c221cc4c37772823ec327bb69944f4838cefb92abfbbb6f72bc115ae9c0bfb7d",
+    "dump qpoly --type B2": "21f01bedc2ec2f11ccee8eb735fdbeba7e31f39388095e1a2bb10fa93078f642",
+    "dump qpoly --type B2 --json": "a9b523301328ebd54594ef665fd48574784ff3a2e0073f6a277da41a2b3da64c",
+    "verify chevalley --type B2": "cf62614aaf6233544a99efd4a911e76d63065e1e65de78b942c31d2459bb9336",
+    "verify chevalley --type B2 --json": "8dcd9cd6d649ecc10289b9a0fb7e9a620ab0fe4f4e84b3b430664e3ec14a8dd9",
+    "verify cells --type B2": "1a8c82cca9175c5cdee0d1061c47d51b7b5e1ae7cf6c114c3644f8c6076f1450",
+    "verify cells --type B2 --json": "5965fbe0b78bd793b416da668d83379c97b59df4be88fb46aadd1b55644cf891",
+    "dump fulltwist_scalars --type B2": "071f5833ce1955bb069dd048bc8d88886526652c3a2a24be95e225615e7c2288",
+    "dump fulltwist_scalars --type B2 --json": "6763a567dc9519e61635c785494057a72e0f1422b1e0c75d7ea1c74e5c9dbd98",
+    "dump orbit_table --type G2": "2c322a9170df0c0a83e43aa057a1180cae7870da9a80b873e7da0acaa86bed22",
+    "dump orbit_table --type G2 --json": "2b92b803087744314eef7b20cee12f51691a33aafa6a0b6173483b2e3733fc13",
+    "dump qpoly --type G2": "cf5bfd919024fc37320616fb0427f78914260a9207f91a46e73f3d330f065eb8",
+    "dump qpoly --type G2 --json": "1f19f37c05332e871e279a8e038c3137a282a0e92b5a1de08fcd0d68368c6ce4",
+    "verify chevalley --type G2": "f3e4900a5d91aef3fbdcb03e277f0185f9b25f944a063c97646c1d8ba22d501a",
+    "verify chevalley --type G2 --json": "43bcc94d40f853e26ae3c9847c63651860f33dc4b866a56f1b656f43dcc104db",
+    "verify cells --type G2": "d706acc93de94bde74c769a3f2556037f487270d01390bbf8dd98cc3fa152e4e",
+    "verify cells --type G2 --json": "86d9cfff79848f8a2a7f78495485f4f3fbdfaeeb7eeb28889756396a65e3b423",
+    "dump fulltwist_scalars --type G2": "414317b6d4d8149550be5998a5cf0ccb52b9f7d9c6e468a2b0812af75534a1df",
+    "dump fulltwist_scalars --type G2 --json": "f8f7e02ba23f828fe581df39690cb06802d1ce449f1d10abd2dcd1b5253613ad",
+    "dump orbit_table --type A3": "8c811fcf30d8e92b5f140f4659830419f081eb7f7f249281aab5b939105dd229",
+    "dump orbit_table --type A3 --json": "3641536f4177fc6f12010ec762a8be942b3847d885528dbb56774f3d4a4e986c",
+    "dump qpoly --type A3": "f05015260ab30c2d8493df80ebaa954286a97a2e174e0e92b0465cf5ba98b2ac",
+    "dump qpoly --type A3 --json": "e375e81a6bdfb4b020d71194f451543b3534c284bf7c6c0b62c4ccd1b21a36eb",
+    "verify chevalley --type A3": "0cb209f201e7cdb4f76f2ea91cd52baf388e2ede1bd728b7c894e4b6e28613ac",
+    "verify chevalley --type A3 --json": "f694cb24b56ea045b453dfa0ad29d6ca3f33d4e22db3b8541054445f76486143",
+    "verify cells --type A3": "51fa5912a308030438b721e24f570a208b5b0749f068953fbb9bb282fa569079",
+    "verify cells --type A3 --json": "9ba40112cf16f3cbd4f5ffc0a0d35dcdccdb1ee8ceb3e9f754c2c352be4746d4",
+    "dump fulltwist_scalars --type A3": "ade99b57b273967aa469967990f4261ac70bae750284f1d92b78b9b98d66701f",
+    "dump fulltwist_scalars --type A3 --json": "cf4d9f5c1ea6c3dabcbcbfdf9805215bbaf045f0d1d95d77c29c10ed7a4ef282",
 }
 
 

@@ -344,6 +344,22 @@ def test_full_twist_scalars_a2():
     assert [H.cell_scalar(zl, k) for k in range(3)] == [(1, 0), (1, 6), (1, 12)]
 
 
+def test_central_action_matches_the_product():
+    # the full twist's word action equals the product with its std image,
+    # in both conventions; other central elements fall back to the product
+    for t in ["A2", "B2", "G2"]:
+        W = build_weyl(t)
+        H = hecke_algebra(W, STD)
+        for alg in (H, hecke_algebra(W, LY)):
+            for z in (alg.full_twist(), alg.unit() + alg.full_twist()):
+                zs = convert_convention(z, STD)
+                act = alg.central_action(z)
+                assert alg.central_action(z) is act
+                for x in range(W.size):
+                    cx = H.kl_basis(x)
+                    assert act(cx) == H.t_mul(zs, cx), (t, alg, x)
+
+
 def test_cell_scalar_rejects_noncentral():
     W = build_weyl("A2")
     H = hecke_algebra(W, STD)
