@@ -39,7 +39,12 @@ base rule: a generator step (entries packed at their least exponent lo_g,
 ``OrbitModule.packed_gens``) adds lo_g to the base, and terms at different
 bases are summed at the least one, shifting each left by b times the
 difference (``_packed_sum``).  ``OrbitModule.images`` is the one image
-kernel: ``make_free`` and ``express_in_free_span`` unpack its tables, while
+kernel.  ``free_sum`` sums the tables of all its terms as ints and unpacks
+each entry once (``make_free`` is its one-term case, and
+``random_free_combination`` calls it on its draws); the free-span echelon
+unpacks the tables of the basis vectors.  ``check_gluing`` forms each
+right-hand side t_sw - Phi_s t_w with one generator step on t packed once
+and unpacks only its nonzero entries for the solver, while
 ``canonical_identity`` and the Phi_s^2 and proof-step checks of
 ``polyconj_split`` stay packed to the verdict and unpack only a failure
 witness.  ``apply_twist_poly``, the splitting's kernel, runs Horner on
@@ -213,15 +218,22 @@ def _clear_denominators(vecs) -> Tuple[List[List[LaurentPoly]], LaurentPoly]:
     """Integral vectors D * vec and their common denominator D.
 
     Entries may be int, LaurentPoly or Qv; D is the lcm of the entry
-    denominators, 1 when every entry is a polynomial.
+    denominators, 1 when every entry is a polynomial.  A polynomial entry
+    has denominator 1, so D scales it whole.
     """
     vecs = [[_scalar(x) for x in vec] for vec in vecs]
+    one = LaurentPoly.one()
     dens = {x.den for vec in vecs for x in vec if isinstance(x, Qv)}
-    den = LaurentPoly.one()
+    den = one
     for d in dens:
         den = _lcm(den, d)
-    scale = {d: den.divide_exact(d) for d in dens}
-    return [[x.num * scale[x.den] if isinstance(x, Qv) else x for x in vec] for vec in vecs], den
+    scale = {d: den.divide_exact(d) for d in dens | {one}}
+
+    def cleared(x):
+        num, f = (x.num, scale[x.den]) if isinstance(x, Qv) else (x, scale[one])
+        return num * f if f != one else num
+
+    return [[cleared(x) for x in vec] for vec in vecs], den
 
 
 def _over(vec, den: LaurentPoly) -> List[Qv]:
@@ -240,6 +252,20 @@ def _sparse_step(entries, acc):
 def _norm_inf(vec) -> int:
     """The largest coefficient size over the entries of an integral vector."""
     return max((abs(c) for x in vec for c in x._c.values()), default=0)
+
+
+def _gen_norm(gen_cols, dim: int) -> int:
+    """C, the largest sum_j |(Phi_s)_rj|_1 over s and rows r, for the
+    columns ``gen_cols[s][j]`` of Phi_s: a generator step multiplies the
+    largest coefficient of an integral vector by at most C."""
+    best = 0
+    for cols in gen_cols:
+        rows = [0] * dim
+        for col in cols:
+            for r, f in col:
+                rows[r] += sum(map(abs, f._c.values()))
+        best = max(best, *rows)
+    return best
 
 
 def _packed_sum(terms, b: int) -> Tuple[List[int], int]:
@@ -313,6 +339,7 @@ class OrbitModule:
         self.dim = alg.dim
         self.gen_cols = [alg.columns(alg.pi_generator(s)) for s in range(alg.group.rank)]
         self.twist_cols = alg.columns(twist)
+        self.gen_norm = _gen_norm(self.gen_cols, self.dim)
         self._solvers: Dict[int, list] = {}
         self._solver_lock = threading.Lock()
 
@@ -325,19 +352,6 @@ class OrbitModule:
                 for r, poly in col:
                     out[r] = out[r] + c * poly
         return out
-
-    def gen_norm(self) -> int:
-        """C, the largest sum_j |(Phi_s)_rj|_1 over s and rows r: a generator
-        step multiplies the largest coefficient of an integral vector by at
-        most C."""
-        best = 0
-        for cols in self.gen_cols:
-            rows = [0] * self.dim
-            for col in cols:
-                for r, f in col:
-                    rows[r] += sum(map(abs, f._c.values()))
-            best = max(best, *rows)
-        return best
 
     def packed_gens(self, b: int) -> Tuple[List[list], int]:
         """([(j, r, pack(f, lo, b)) per entry f = (Phi_s)_rj] per s, lo), lo
@@ -381,7 +395,7 @@ class OrbitModule:
         C^l(w0) |x|_inf (C from ``gen_norm``), which sets one width b."""
         g = self.alg.group
         lens = g.lengths
-        bound = self.gen_norm() ** lens[g.longest_id] * max(map(_norm_inf, vecs))
+        bound = self.gen_norm ** lens[g.longest_id] * max(map(_norm_inf, vecs))
         b = bound.bit_length() + 1
         gens, lo_g = self.packed_gens(b)
         out = []
@@ -653,15 +667,44 @@ class KModule:
             vec = self.unit_vector()
         return KTuple(self, {e: list(vec) for e in range(self.group.size)})
 
-    def make_free(self, w, k: Sequence) -> KTuple:
-        """The tuple with components Phi_{y w^-1} k."""
+    def free_sum(self, terms: Sequence[Tuple[int, Sequence]]) -> KTuple:
+        """The sum of the free tuples F(w, k) over terms (w, k), F(w, k) the
+        tuple with components Phi_{y w^-1} k.
+
+        One packed sum per block: the k are cleared to one denominator D and
+        packed once at their least exponent lo, the ``images`` table of each
+        gives Phi_z k at base lo + l(z) lo_g, and at each y the T entries at
+        z = y w^-1 are summed as ints (``_packed_sum``) and unpacked once.
+        Width: an entry has coefficients at most C^l(w0) |k|_inf (C from
+        ``OrbitModule.gen_norm``), so the sum at most T C^l(w0) max |k|_inf,
+        T the number of terms nonzero on the block.
+        """
         g = self.group
-        wid = w if isinstance(w, int) else g.id_of(w)
-        winv = g.inv_id(wid)
-        (k,), den = _clear_denominators([k])
-        tabs = [blk.unpacked_images([part])[0] for _, blk, (part,) in self._parts([k])]
-        comps = [[x for tab in tabs for x in tab[g.mul_id(y, winv)]] for y in range(g.size)]
+        lens = g.lengths
+        zero = LaurentPoly.zero()
+        winvs = [g.inv_id(w if isinstance(w, int) else g.id_of(w)) for w, _ in terms]
+        ks, den = _clear_denominators([k for _, k in terms])
+        comps: List[List[LaurentPoly]] = [[] for _ in range(g.size)]
+        for _, blk, parts in self._parts(ks):
+            live = [(winv, part) for winv, part in zip(winvs, parts) if any(part)]
+            if not live:
+                for comp in comps:
+                    comp.extend([zero] * blk.dim)
+                continue
+            norm = max(_norm_inf(part) for _, part in live)
+            b = (len(live) * blk.gen_norm ** lens[g.longest_id] * norm).bit_length() + 1
+            gens, lo_g = blk.packed_gens(b)
+            lo = min(x.min_exp for _, part in live for x in part if x)
+            tabs = [(winv, blk.images([pack(x, lo, b) for x in part], gens)) for winv, part in live]
+            for y, comp in enumerate(comps):
+                zs = [(g.mul_id(y, winv), tab) for winv, tab in tabs]
+                acc, base = _packed_sum([(1, tab[z], lo + lens[z] * lo_g) for z, tab in zs], b)
+                comp.extend(unpack(a, base, b) if a else zero for a in acc)
         return KTuple._of(self, comps, den)
+
+    def make_free(self, w, k: Sequence) -> KTuple:
+        """The free tuple F(w, k), with components Phi_{y w^-1} k."""
+        return self.free_sum([(w, k)])
 
     def random_vector(self, rng, density: float = 0.5) -> List[Qv]:
         out = self.zero_vector()
@@ -674,11 +717,11 @@ class KModule:
 
     def random_free_combination(self, rng, terms: int = 3) -> KTuple:
         """Sum of free tuples; satisfies the gluing condition by construction."""
-        out = self.zero_tuple()
+        drawn = []
         for _ in range(terms):
             w = rng.randrange(self.group.size)
-            out = out + self.make_free(w, self.random_vector(rng))
-        return out
+            drawn.append((w, self.random_vector(rng)))
+        return self.free_sum(drawn)
 
     # -- gluing -------------------------------------------------------------------
 
@@ -696,18 +739,37 @@ class KModule:
     def check_gluing(self, t: KTuple) -> List[dict]:
         """Per-(s, w) membership reports with solver witnesses.
 
-        Works on the numerators of t; witnesses are divided back by D.
+        Works on the numerators of t; witnesses are divided back by D.  The
+        right-hand side t_sw - Phi_s t_w is formed on packed ints, block by
+        block: t's numerators are packed once at their least exponent lo,
+        Phi_s t_w is one ``_sparse_step`` at base lo + lo_g, and the term at
+        the higher base is shifted down to the other's.  Its coefficients are
+        at most (1 + C) max_w |t_w|_inf (C from ``OrbitModule.gen_norm``),
+        which sets the width, so it is zero exactly when its ints are; only
+        its nonzero entries are unpacked for the solver.
         """
         g = self.group
+        zero = LaurentPoly.zero()
+        blocks = []
+        for _, blk, parts in self._parts(t._c):
+            b = ((1 + blk.gen_norm) * max(map(_norm_inf, parts))).bit_length() + 1
+            gens, lo_g = blk.packed_gens(b)
+            lo = min((x.min_exp for part in parts for x in part if x), default=0)
+            packed = [[pack(x, lo, b) for x in part] for part in parts]
+            # t_sw sits at base lo and Phi_s t_w at lo + lo_g
+            blocks.append((gens, b, lo + min(lo_g, 0), b * max(-lo_g, 0), b * max(lo_g, 0), packed))
         out = []
         for s in range(g.rank):
             for w in range(g.size):
                 sw = g.lmul_id(s, w)
-                phi = self.apply_generator(s, t._c[w])
-                rhs = list(map(operator.sub, t._c[sw], phi))
-                if not any(rhs):
+                diffs = [
+                    (b, base, [(x << sx) - (y << sy) for x, y in zip(tp[sw], _sparse_step(gens[s], tp[w]))])
+                    for gens, b, base, sx, sy, tp in blocks
+                ]
+                if not any(any(d) for _, _, d in diffs):
                     out.append(_greport(g, s, w, True, witness="0"))
                     continue
+                rhs = [unpack(a, base, b) if a else zero for b, base, d in diffs for a in d]
                 x = self._solve_image(s, rhs, t.den)
                 witness = None if x is None else _render_vec(x)
                 out.append(_greport(g, s, w, x is not None, witness=witness))
@@ -776,7 +838,7 @@ class KModule:
         for start, blk, (part,) in self._parts([k]):
             if not any(part):
                 continue
-            bound = (len(terms) + 2) * blk.gen_norm() ** (2 * top) * _norm_inf(part)
+            bound = (len(terms) + 2) * blk.gen_norm ** (2 * top) * _norm_inf(part)
             b = bound.bit_length() + 1
             gens, lo_g = blk.packed_gens(b)
             lo_k = min(x.min_exp for x in part if x)
@@ -844,7 +906,7 @@ class KModule:
         for _, blk, parts in self._parts(a0c):
             norm = max(map(_norm_inf, parts))
             if norm:
-                c = blk.gen_norm()
+                c = blk.gen_norm
                 b = ((c * c + 1) * (c + 1) * norm).bit_length() + 1
                 gens, lo_g = blk.packed_gens(b)
                 lo = min(x.min_exp for part in parts for x in part if x)

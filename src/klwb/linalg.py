@@ -207,18 +207,35 @@ def minpoly_operator(apply_fn: Callable[[list], list], dim: int) -> List[Qv]:
     """Minimal polynomial of a linear operator given by its action on vectors.
 
     The operator acts on vectors over Z[v, v^-1]; the result is monic, with
-    coefficients over Q(v) in ascending degree.
+    coefficients over Q(v) in ascending degree.  It is the lcm m of the
+    annihilators ann(e_i) of the basis vectors, each from a Krylov sequence
+    (``_krylov_annihilator``), except that e_i is skipped when m(A) e_i = 0
+    already.  That is exact: then ann(e_i) divides m, so the lcm is m again.
+    The test runs Horner on the primitive integral form of m
+    (``qpoly_to_bivar``), a nonzero Q(v) multiple of m with the same kernel,
+    and costs deg m operator steps against up to dim + 1 for a Krylov
+    sequence.
     """
     if dim == 0:
         return [QV_ONE]
     m: List[Qv] = []
+    kill: Sequence[LaurentPoly] = ()
     for i in range(dim):
+        if kill:
+            acc = [LaurentPoly.zero()] * dim
+            acc[i] = kill[-1]
+            for c in reversed(kill[:-1]):
+                acc = apply_fn(acc)
+                acc[i] = acc[i] + c
+            if not any(acc):
+                continue
         e = [LaurentPoly.zero()] * dim
         e[i] = LaurentPoly.one()
         ann = _krylov_annihilator(apply_fn, e)
         m = qpoly_lcm(m, ann) if m else ann
         if len(m) - 1 == dim:
             break
+        kill = qpoly_to_bivar(m).xcoeffs
     return m
 
 

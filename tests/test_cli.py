@@ -389,6 +389,14 @@ PINNED_OUTPUT_SHA256 = {
     "verify cells --type A3 --json": "9ba40112cf16f3cbd4f5ffc0a0d35dcdccdb1ee8ceb3e9f754c2c352be4746d4",
     "dump fulltwist_scalars --type A3": "ade99b57b273967aa469967990f4261ac70bae750284f1d92b78b9b98d66701f",
     "dump fulltwist_scalars --type A3 --json": "cf4d9f5c1ea6c3dabcbcbfdf9805215bbaf045f0d1d95d77c29c10ed7a4ef282",
+    "verify gluing --type B2": "e4e7789c9af2792e82a66754e1ff9d3e6cd09eb09788daa1a91e79915f25d26b",
+    "verify gluing --type B2 --json": "0c258b3a42efebc94970ab1d5b77f5f7f9732fdced37ff8cef1cdf923322282b",
+    "verify minpoly --type B2": "60e9cf7cccb6793805715acf34f2c817a14f46a9f0629879168891f358c6e967",
+    "verify minpoly --type B2 --json": "23abf7f21303f7c44927dd7f1b86e4525d37d820309fc4bf954f879c43ea5338",
+    "verify gluing --type G2": "0ca29165abeea9cf66ad512e13dfa444834675ea5348da19c4551510a48d78e9",
+    "verify gluing --type G2 --json": "5e4e35f0097289dec4468b2144e15f8388e09797837bf1a249ef6580c2957578",
+    "verify minpoly --type G2": "d96610aa6eb49dc2950cba0c44835d7b90bc350ff501a165c1f504825543523a",
+    "verify minpoly --type G2 --json": "c0d1ec537f23811e90b07ff5fad2455c19b4e17a8b789db394f3548d5cdf8514",
 }
 
 

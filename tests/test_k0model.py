@@ -18,6 +18,7 @@ from klwb.k0model import (
     KTuple,
     OrbitModule,
     PreconditionFailure,
+    _gen_norm,
     _render_vec,
     resolve_m,
 )
@@ -207,6 +208,16 @@ def test_tuple_arithmetic_and_serialization():
         KTuple(M, {0: ["x"] * M.dim})
 
 
+def test_polynomial_entries_are_scaled_by_the_common_denominator():
+    M = KModule.for_type("A1", 6)
+    q = lp({0: 1, 2: 1})
+    vec = [Qv(LaurentPoly.one(), q), LaurentPoly.one(), 2] + [0] * (M.dim - 3)
+    t = M.tuple_from({0: vec})
+    assert [x.render() for x in t.get(0)[:3]] == ["(1) / (1 + v^2)", "1", "2"]
+    field = [Qv(LaurentPoly.one(), q), Qv(1), Qv(2)] + [Qv(0)] * (M.dim - 3)
+    assert M.make_free(0, vec) == M.make_free(0, field)
+
+
 def test_tuple_equality_and_hash_ignore_the_denominator():
     M = KModule.for_type("A1", 2)
     t = M.random_free_combination(random.Random(4), 2)
@@ -284,6 +295,120 @@ def test_minpoly_operator_non_unit_pivot(monkeypatch):
     assert lp({0: 1, 2: 1}) in sigmas
     # pinned from the Q(v) elimination: x^3 - v x^2 - x
     assert [c.render() for c in mp] == ["0", "-1", "-v", "1"]
+
+
+def test_minpoly_operator_skips_killed_basis_vectors(monkeypatch):
+    # diag(1, v, v): ann(e0) = x - 1 is a proper divisor of the minimal
+    # polynomial, so e1 must still run its Krylov sequence; e2 is killed by
+    # (x - 1)(x - v) and is the one skip
+    diag = [lp({0: 1}), lp({1: 1}), lp({1: 1})]
+    calls = []
+    orig = linalg._krylov_annihilator
+
+    def counted(apply_fn, vec):
+        calls.append(vec.index(LaurentPoly.one()))
+        return orig(apply_fn, vec)
+
+    monkeypatch.setattr(linalg, "_krylov_annihilator", counted)
+    mp = linalg.minpoly_operator(lambda vec: [d * x for d, x in zip(diag, vec)], 3)
+    assert [c.render() for c in mp] == ["v", "-1 - v", "1"]
+    assert calls == [0, 1]
+
+
+def free_reference(M, terms):
+    # sum of the free tuples y -> Phi_{y w^-1} k, from apply_element and the
+    # tuple sum only
+    g = M.group
+    out = M.zero_tuple()
+    for w, k in terms:
+        out = out + M.tuple_from({y: M.apply_element(g.mul_id(y, g.inv_id(w)), k) for y in range(g.size)})
+    return out
+
+
+def shift_generators(M, shift):
+    # Phi_s's least exponent is 0 in these modules; v^shift Phi_s moves it,
+    # which the packed kernels must follow through their bases
+    for blk in M.blocks:
+        blk.gen_cols = [[[(r, f.shifted(shift)) for r, f in col] for col in cols] for cols in blk.gen_cols]
+
+
+@pytest.mark.parametrize("t, den, shift", [("A1", 6, 0), ("A2", 2, 0), ("B2", 2, 0), ("A2", 2, -2), ("A1", 6, 3)])
+def test_free_sum_matches_apply_element_reference(t, den, shift):
+    M = KModule.for_type(t, den)
+    shift_generators(M, shift)
+    rng = random.Random(13)
+    q = lp({0: 1, 2: 1})
+    field = [x / q if i % 2 else x for i, x in enumerate(M.random_vector(rng))]
+    big = [lp({-3: 2**200 + rng.randrange(99), 2: -(2**199)}) if x else x for x in rand_poly_vec(M, rng)]
+    start, blk, _ = list(M._parts([]))[1]
+    one_block = [x if start <= i < start + blk.dim else 0 for i, x in enumerate(big)]
+    w1, w2 = rng.randrange(M.group.size), rng.randrange(M.group.size)
+    cases = [
+        [(w1, field)],
+        [(w1, field), (w2, big), (w1, rand_poly_vec(M, rng))],
+        [(w2, one_block), (w1, one_block)],
+        [(w1, [0] * M.dim)],
+        [],
+    ]
+    for terms in cases:
+        got = M.free_sum(terms)
+        assert got == free_reference(M, terms), (t, shift, len(terms))
+    assert M.make_free(w1, field) == free_reference(M, [(w1, field)])
+
+
+@pytest.mark.parametrize("t, den", [("A2", 2), ("B2", 2)])
+def test_random_free_combination_is_the_sum_of_its_draws(t, den):
+    M = KModule.for_type(t, den)
+    for seed in range(3):
+        rng, again = random.Random(seed), random.Random(seed)
+        got = M.random_free_combination(rng, 3)
+        drawn = []
+        for _ in range(3):
+            w = again.randrange(M.group.size)
+            drawn.append((w, M.random_vector(again)))
+        assert got == free_reference(M, drawn)
+        assert rng.random() == again.random()
+
+
+def gluing_reference(M, t):
+    # check_gluing with the right-hand sides formed by apply_generator in
+    # LaurentPoly arithmetic, solved by the same solver
+    g = M.group
+    out = []
+    for s in range(g.rank):
+        for w in range(g.size):
+            rhs = [a - b for a, b in zip(t._c[g.lmul_id(s, w)], M.apply_generator(s, t._c[w]))]
+            if not any(rhs):
+                out.append(("pass", "0"))
+                continue
+            x = M._solve_image(s, rhs, t.den)
+            out.append(("fail", None) if x is None else ("pass", _render_vec(x)))
+    return out
+
+
+@pytest.mark.parametrize("t, den, shift", [("A1", 6, 0), ("A2", 2, 0), ("B2", 2, 0), ("A2", 2, -2), ("A1", 6, 3)])
+def test_check_gluing_matches_laurent_reference(t, den, shift):
+    M = KModule.for_type(t, den)
+    shift_generators(M, shift)
+    rng = random.Random(5)
+    # built without free_sum, so that this test checks check_gluing alone
+    free = free_reference(M, [(rng.randrange(M.group.size), M.random_vector(rng)) for _ in range(2)])
+    cases = [
+        free,
+        free + M.tuple_from({1: M.basis_vector(block_starts(M)[1])}),
+        free.scale(Qv(1, lp({0: 1, 2: 1}))),
+        M.zero_tuple(),
+    ]
+    if t != "B2":
+        cases.append(free.scale(lp({-3: 2**200 + 7, 1: -(2**199)})))
+    verdicts = set()
+    for tup in cases:
+        rep = M.check_gluing(tup)
+        got = [(r["status"], r.get("witness")) for r in rep]
+        assert got == gluing_reference(M, tup), (t, shift)
+        verdicts |= {status for status, _ in got}
+    # v^shift Phi_s can make Phi_s^2 - 1 invertible, and the bump pass
+    assert verdicts == {"pass", "fail"} or shift
 
 
 def test_free_tuples_satisfy_gluing():
@@ -435,15 +560,16 @@ def euler_reference(M, k):
 )
 def test_canonical_identity_matches_laurent_reference(t, den, shift, broken):
     M = KModule.for_type(t, den)
-    # Phi_s's least exponent is 0 in these modules; v^shift Phi_s moves it
-    # (the identity still holds), and adding v^3 to one entry of Phi_1 per
-    # block breaks the relations and the identity at some y.  The reference
-    # reads the same columns, so verdicts and witnesses must still agree.
-    for blk in M.blocks:
-        blk.gen_cols = [[[(r, f.shifted(shift)) for r, f in col] for col in cols] for cols in blk.gen_cols]
-        if broken:
+    # v^shift Phi_s keeps the identity, and adding v^3 to one entry of Phi_1
+    # per block breaks the relations and the identity at some y.  The
+    # reference reads the same columns, so verdicts and witnesses must still
+    # agree.
+    shift_generators(M, shift)
+    if broken:
+        for blk in M.blocks:
             (r, f), *rest = blk.gen_cols[0][0]
             blk.gen_cols[0][0] = [(r, f + lp({3: 1}))] + rest
+            blk.gen_norm = _gen_norm(blk.gen_cols, blk.dim)
     rng = random.Random(41)
     zero = LaurentPoly.zero()
     k = rand_poly_vec(M, rng, density=0.6)

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from klwb import linalg
 from klwb.charpoints import CharacterPoint, orbit, orbit_set, parse_point
 from klwb.coxeter import build_weyl
 from klwb.hecke import LY, hecke_algebra
 from klwb.klalgebra import KLAlgebra, OrbitAlgebra, OrbitMismatch
-from klwb.rings import BivarPoly, LaurentPoly
+from klwb.rings import BivarPoly, LaurentPoly, Qv
 
 
 def lp(d):
@@ -220,6 +221,32 @@ def test_fulltwist_minpoly_a2():
     )
     assert mp == expect
     assert verdicts == {"paper": False, "safe": True}
+
+
+@pytest.mark.parametrize("t", ["A2", "B2"])
+def test_fulltwist_minpoly_runs_one_krylov_sequence_per_block(t, monkeypatch):
+    # on every block the first basis vector's annihilator is already the
+    # block's minimal polynomial, so every other basis vector is skipped
+    calls = []
+    orig = linalg._krylov_annihilator
+
+    def counted(apply_fn, vec):
+        calls.append(len(vec))
+        return orig(apply_fn, vec)
+
+    monkeypatch.setattr(linalg, "_krylov_annihilator", counted)
+    kl = KLAlgebra.for_type(t, 6)
+    mp, _ = kl.fulltwist_minpoly()
+    assert len(calls) <= len(kl.algebras)
+    # the skips are exact: the lcm of every basis vector's annihilator
+    want = [Qv(1)]
+    for alg, proj in zip(kl.algebras, kl.full_twist().projections):
+        apply = linalg.sparse_operator(alg.columns(proj), alg.dim)
+        for i in range(alg.dim):
+            e = [LaurentPoly.zero()] * alg.dim
+            e[i] = LaurentPoly.one()
+            want = linalg.qpoly_lcm(want, orig(apply, e))
+    assert mp == linalg.qpoly_to_bivar(want)
 
 
 def test_fulltwist_minpoly_stable_under_denominator_growth():
