@@ -217,6 +217,25 @@ class WeylElement:
         return "W[%s]" % self.word_str
 
 
+def _enumerate(start, rank: int, step) -> Tuple[list, List[Tuple[int, ...]]]:
+    """(elements, words): everything reached from start by right steps
+    step(x, i), i < rank, each with its lex-least word, in (length, word)
+    order.  Breadth first: a level in word order meets each new element
+    first through its least word, and appends it in that order."""
+    words = {start: ()}
+    level = [start]
+    while level:
+        nxt = []
+        for x in level:
+            for i in range(rank):
+                y = step(x, i)
+                if y not in words:
+                    words[y] = words[x] + (i,)
+                    nxt.append(y)
+        level = nxt
+    return list(words), list(words.values())
+
+
 class WeylGroup:
     """Enumerated Weyl group; element ids follow the (length, word) order.
 
@@ -253,30 +272,7 @@ class WeylGroup:
                 tuple(self._root_index[_reflect_pair(C, i, p)] for p in self.root_pairs)
             )
 
-        # breadth-first enumeration; per level keep the lex-least word per element
-        ident = tuple(range(nn))
-        assigned: Dict[tuple, Tuple[int, ...]] = {ident: ()}
-        level = [((), ident)]
-        perms: List[tuple] = []
-        words: List[Tuple[int, ...]] = []
-        while level:
-            level.sort(key=lambda t: t[0])
-            for word, perm in level:
-                perms.append(perm)
-                words.append(word)
-            nxt: Dict[tuple, Tuple[int, ...]] = {}
-            for word, perm in level:
-                for i in range(n):
-                    gp = gen_perms[i]
-                    np_ = tuple(perm[gp[k]] for k in range(nn))
-                    if np_ in assigned:
-                        continue
-                    cand = word + (i,)
-                    old = nxt.get(np_)
-                    if old is None or cand < old:
-                        nxt[np_] = cand
-            assigned.update(nxt)
-            level = [(w, p) for p, w in nxt.items()]
+        perms, words = _enumerate(tuple(range(nn)), n, lambda perm, i: tuple(perm[k] for k in gen_perms[i]))
         assert len(perms) == order
 
         self.size = order
@@ -608,28 +604,7 @@ class SubsystemGroup:
             p = ambient.perms[aeid]
             return sum(1 for b in pos if p[b] >= N)
 
-        assigned: Dict[int, Tuple[int, ...]] = {0: ()}
-        level = [((), 0)]
-        aeids: List[int] = []
-        words: List[Tuple[int, ...]] = []
-        while level:
-            level.sort(key=lambda t: t[0])
-            for word, aeid in level:
-                aeids.append(aeid)
-                words.append(word)
-            nxt: Dict[int, Tuple[int, ...]] = {}
-            for word, aeid in level:
-                for gi in range(self.rank):
-                    na = ambient.mul_id(aeid, gen_aeids[gi])
-                    if na in assigned:
-                        continue
-                    cand = word + (gi,)
-                    old = nxt.get(na)
-                    if old is None or cand < old:
-                        nxt[na] = cand
-            assigned.update(nxt)
-            level = [(w, a) for a, w in nxt.items()]
-
+        aeids, words = _enumerate(0, self.rank, lambda aeid, i: ambient.mul_id(aeid, gen_aeids[i]))
         self.size = len(aeids)
         self._aeids = aeids
         self._local = {a: i for i, a in enumerate(aeids)}

@@ -25,8 +25,10 @@ and ``express_in_free_span``, whose per-block column echelon of the free
 tuples (``OrbitModule._build_free_solver``) stays in Q(v).  Each block
 caches two kinds of solver in one dict under one lock, built once each:
 the fraction-free image of Phi_s^2 - 1 for every s (gluing) and that
-echelon (the free span).  The ``apply_*`` methods work in the ring of their
-input entries.
+echelon (the free span).  ``apply_generator``, ``apply_fulltwist`` and
+``apply_twist_poly`` take one route (``KModule._apply_cleared``): they
+apply the operator over Z[v, v^-1] to D vec and divide back by D for Q(v)
+input, so each returns a vector in the ring of its input entries.
 
 Kronecker packing (``rings.pack``): an int n at base B and width b stands
 for v^B times the polynomial whose signed base-2^b digits are n's, that is
@@ -34,23 +36,25 @@ n = (v^-B p)(2^b).  v -> 2^b is a ring homomorphism, so sums, products and
 shifts of ints compute those of the polynomials whatever the carries; it is
 injective on polynomials whose coefficients are below 2^(b-1) in size, so
 only the values that are compared or unpacked must fit, and each kernel
-proves a bound on them and sets b = bound.bit_length() + 1, per block.  The
-base rule: a generator step (entries packed at their least exponent lo_g,
-``OrbitModule.packed_gens``) adds lo_g to the base, and terms at different
-bases are summed at the least one, shifting each left by b times the
-difference (``_packed_sum``).  ``OrbitModule.images`` is the one image
-kernel.  ``free_sum`` sums the tables of all its terms as ints and unpacks
-each entry once (``make_free`` is its one-term case, and
-``random_free_combination`` calls it on its draws); the free-span echelon
-unpacks the tables of the basis vectors.  ``check_gluing`` forms each
-right-hand side t_sw - Phi_s t_w with one generator step on t packed once
-and unpacks only its nonzero entries for the solver, while
-``canonical_identity`` and the Phi_s^2 and proof-step checks of
-``polyconj_split`` stay packed to the verdict and unpack only a failure
-witness.  ``apply_twist_poly``, the splitting's kernel, runs Horner on
-packed ints the same way (``OrbitModule.twist_packed``); the splitting's
-annihilation check and the precondition of ``euclid_descent`` decide on the
-packed result and unpack only a nonzero one.
+proves a bound on them and sets b = bound.bit_length() + 1, per block.
+The entries of every Phi_s and of F lie in Z[v] (a_s = +-T_s with
+(T_s - 1)(T_s + v^2) = 0), so they are packed at exponent 0
+(``OrbitModule._packed_op``, which rejects an operator with an entry
+outside Z[v]) and an operator step keeps the base: every packed value in
+a kernel sits at the base of the kernel's input, and sums are plain int
+sums.  ``OrbitModule.images`` is the one image kernel.  ``free_sum`` sums
+the tables of all its terms as ints and unpacks each entry once
+(``make_free`` is its one-term case, and ``random_free_combination`` calls
+it on its draws); the free-span echelon unpacks the tables of the basis
+vectors.  ``check_gluing`` forms each right-hand side t_sw - Phi_s t_w
+with one generator step on t packed once and unpacks only its nonzero
+entries for the solver, while ``canonical_identity`` and the Phi_s^2 and
+proof-step checks of ``polyconj_split`` stay packed to the verdict and
+unpack only a failure witness.  ``apply_twist_poly``, the splitting's
+kernel, runs Horner on packed ints the same way
+(``OrbitModule.twist_packed``); the splitting's annihilation check and the
+precondition of ``euclid_descent`` decide on the packed result and unpack
+only a nonzero one.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .klalgebra import KLAlgebra
-from .linalg import echelon_row, reduce_pair
+from .linalg import echelon_row, reduce_pair, sparse_operator
 from .rings import (
     BivarPoly,
     LaurentPoly,
@@ -268,20 +272,12 @@ def _gen_norm(gen_cols, dim: int) -> int:
     return best
 
 
-def _packed_sum(terms, b: int) -> Tuple[List[int], int]:
-    """(sum of sign * vec, B) over terms (sign, vec, base) of packed vectors.
-
-    B is the least base; a term at base B + d is shifted left by b * d, that
-    is multiplied by v^d, before it is added.
-    """
-    base = min(at for _, _, at in terms)
+def _packed_sum(terms) -> List[int]:
+    """The sum of sign * vec over terms (sign, vec) of packed vectors."""
     acc = [0] * len(terms[0][1])
-    for sign, vec, at in terms:
-        sh = b * (at - base)
-        if sh:
-            vec = [x << sh for x in vec]
+    for sign, vec in terms:
         acc = list(map(operator.add if sign > 0 else operator.sub, acc, vec))
-    return acc, base
+    return acc
 
 
 def _axpy(vec: dict, f, row: dict) -> None:
@@ -318,11 +314,6 @@ def _span(x: Qv) -> int:
     return x.num.max_exp - x.num.min_exp + x.den.max_exp
 
 
-def _zero_like(vec):
-    """The zero of the ring of vec's entries: Q(v) if any entry is a Qv."""
-    return QV_ZERO if Qv in map(type, vec) else LaurentPoly.zero()
-
-
 class OrbitModule:
     """One summand: an orbit algebra acting on itself, in block coordinates
     (``alg.flat_index``).  ``gen_cols[s][j]`` and ``twist_cols[j]`` list the
@@ -330,9 +321,8 @@ class OrbitModule:
     solver share one cache and one lock (``_solver``): the image of
     Phi_s^2 - 1 per s (``solve_image``) and the free-span echelon
     (``solve_free``), each built once per block even across threads.
-    ``apply`` works in the ring of its input; ``images``, ``apply_packed``
-    and ``twist_packed`` work on Kronecker-packed ints (see the module
-    docstring)."""
+    ``images``, ``apply_packed`` and ``twist_packed`` work on
+    Kronecker-packed ints (see the module docstring)."""
 
     def __init__(self, alg, twist):
         self.alg = alg
@@ -343,33 +333,24 @@ class OrbitModule:
         self._solvers: Dict[int, list] = {}
         self._solver_lock = threading.Lock()
 
-    def apply(self, cols, vec, zero):
-        """The sparse operator with columns cols applied to vec, from zero."""
-        out = [zero] * self.dim
-        for j, col in enumerate(cols):
-            c = vec[j]
-            if c:
-                for r, poly in col:
-                    out[r] = out[r] + c * poly
-        return out
+    def _packed_op(self, cols, b: int) -> List[tuple]:
+        """[(j, r, pack(f, 0, b)) per entry f = op_rj] for the operator with
+        columns cols: ``_sparse_step`` of it maps a packed vector to its
+        image at the same base.  Every entry must lie in Z[v]."""
+        entries = [(j, r, f) for j, col in enumerate(cols) for r, f in col]
+        if any(f.min_exp < 0 for _, _, f in entries):
+            raise ValueError("operator entries must lie in Z[v]")
+        return [(j, r, pack(f, 0, b)) for j, r, f in entries]
 
-    def packed_gens(self, b: int) -> Tuple[List[list], int]:
-        """([(j, r, pack(f, lo, b)) per entry f = (Phi_s)_rj] per s, lo), lo
-        the least exponent in any Phi_s: ``_sparse_step(gens[s], x)`` is
-        Phi_s x, at base B + lo for x at base B."""
-        lo = min(f.min_exp for cols in self.gen_cols for col in cols for _, f in col)
-        gens = [
-            [(j, r, pack(f, lo, b)) for j, col in enumerate(cols) for r, f in col]
-            for cols in self.gen_cols
-        ]
-        return gens, lo
+    def packed_gens(self, b: int) -> List[List[tuple]]:
+        """``_packed_op`` of Phi_s per s: ``_sparse_step(gens[s], x)`` is Phi_s x."""
+        return [self._packed_op(cols, b) for cols in self.gen_cols]
 
     def images(self, vec: List[int], gens) -> List[List[int]]:
         """Phi_z vec for every group element z, on packed ints (gens from
         ``packed_gens``), one ``_sparse_step`` each: in length order, any left
         descent s of z gives the length-additive z = s * (s z), so the image
-        at z is Phi_s of one already computed.  For vec at base B the image
-        at z has base B + l(z) lo."""
+        at z is Phi_s of one already computed."""
         g = self.alg.group
         out: List[List[int]] = [None] * g.size  # type: ignore[list-item]
         out[g.id_of(g.identity)] = list(vec)
@@ -383,8 +364,7 @@ class OrbitModule:
         return out
 
     def apply_packed(self, gens, word: Sequence[int], vec: List[int]) -> List[int]:
-        """Phi_word vec on packed ints, the last letter acting first; the
-        base grows by len(word) lo (``packed_gens``)."""
+        """Phi_word vec on packed ints, the last letter acting first."""
         for s in reversed(word):
             vec = _sparse_step(gens[s], vec)
         return vec
@@ -394,15 +374,14 @@ class OrbitModule:
         unpacked.  Phi_z x has coefficients at most C^l(z) |x|_inf <=
         C^l(w0) |x|_inf (C from ``gen_norm``), which sets one width b."""
         g = self.alg.group
-        lens = g.lengths
-        bound = self.gen_norm ** lens[g.longest_id] * max(map(_norm_inf, vecs))
+        bound = self.gen_norm ** g.lengths[g.longest_id] * max(map(_norm_inf, vecs))
         b = bound.bit_length() + 1
-        gens, lo_g = self.packed_gens(b)
+        gens = self.packed_gens(b)
         out = []
         for x in vecs:
             lo = min((a.min_exp for a in x if a), default=0)
             tab = self.images([pack(a, lo, b) for a in x], gens)
-            out.append([[unpack(a, lo + lens[z] * lo_g, b) for a in img] for z, img in enumerate(tab)])
+            out.append([[unpack(a, lo, b) for a in img] for img in tab])
         return out
 
     def twist_poly(self, bp: BivarPoly, num: List[LaurentPoly]) -> List[LaurentPoly]:
@@ -415,39 +394,38 @@ class OrbitModule:
         base and width b.  b fits every result coefficient, so an entry of
         acc is zero exactly when that entry of bp(F) num is.
 
-        Horner's rule on Kronecker-packed integers (``rings.pack``): the
-        entries of F, the c_k and the entries of num are packed once each as
-        sum_e c_e 2^(b (e - lo)), and a step is int products, sums and
-        shifts; an accumulator entry stands for v^base times its unpacked
-        value.  As v -> 2^b is a ring homomorphism, only the final
-        coefficients must fit a slot: from bound_r = 0, each step sets
-        bound_r = sum_j |F_rj|_1 bound_j + |c_k|_1 |num_r|_inf over this
-        block's rows, and b = max(bound).bit_length() + 1 keeps a sign bit.
+        Horner's rule on Kronecker-packed integers (``rings.pack``): F is
+        packed once at exponent 0 (``_packed_op``), num at its least
+        exponent lo_v, and each c_k num is shifted to lo_c, the least
+        exponent over all c_k, so every step is int products, shifts and
+        sums at the one base lo_c + lo_v.  As v -> 2^b is a ring
+        homomorphism, only the final coefficients must fit a slot: from
+        bound_r = 0, each step sets bound_r = sum_j |F_rj|_1 bound_j +
+        |c_k|_1 |num_r|_inf over this block's rows, and b =
+        max(bound).bit_length() + 1 keeps a sign bit.
         """
         if bp.is_zero or not any(num):
             return [0] * self.dim, 0, 1
-        entries = [(j, r, f) for j, col in enumerate(self.twist_cols) for r, f in col]
-        norms = [(j, r, sum(map(abs, f._c.values()))) for j, r, f in entries]
+        norms = [(j, r, sum(map(abs, f._c.values()))) for j, col in enumerate(self.twist_cols) for r, f in col]
         vnorm = [max(map(abs, x._c.values()), default=0) for x in num]
         bound = [0] * self.dim
         for c in reversed(bp.xcoeffs):
             c1 = sum(map(abs, c._c.values()))
             bound = [x + c1 * y for x, y in zip(_sparse_step(norms, bound), vnorm)]
         b = max(bound).bit_length() + 1
-        lo_f = min(f.min_exp for _, _, f in entries)
+        lo_c = min(c.min_exp for c in bp.xcoeffs if c)
         lo_v = min(x.min_exp for x in num if x)
-        packed = [(j, r, pack(f, lo_f, b)) for j, r, f in entries]
+        packed = self._packed_op(self.twist_cols, b)
         vp = [pack(x, lo_v, b) for x in num]
-        # acc starts at zero, so its base is free: the leading term's, less lo_f
-        acc, base = [0] * self.dim, bp.xcoeffs[-1].min_exp + lo_v - lo_f
+        acc = [0] * self.dim
         for c in reversed(bp.xcoeffs):
-            acc, base = _sparse_step(packed, acc), base + lo_f
+            acc = _sparse_step(packed, acc)
             if c:
-                cb = c.min_exp + lo_v
-                lo = min(base, cb)
-                cp, sa, sc = pack(c, c.min_exp, b), b * (base - lo), b * (cb - lo)
-                acc, base = [(a << sa) + (cp * x << sc) for a, x in zip(acc, vp)], lo
-        return acc, base, b
+                # c is packed at its own least exponent, so the product is
+                # taken with the short int and then shifted to base lo_c
+                cp, sh = pack(c, c.min_exp, b), b * (c.min_exp - lo_c)
+                acc = [a + (cp * x << sh) for a, x in zip(acc, vp)]
+        return acc, lo_c + lo_v, b
 
     def _solver(self, key, build):
         """build(), cached under key: built once per block even across
@@ -619,9 +597,16 @@ class KModule:
         units = (blk.alg.element_to_vector(blk.alg.unit()) for _, blk, _ in self._parts([]))
         return [x for unit in units for x in unit]
 
+    def _apply_cleared(self, f, vec):
+        """The flat vector of f(block, D vec on the block) over all blocks, f
+        linear over Z[v, v^-1] and D the common denominator of vec's
+        entries; divided back by D when vec has a Q(v) entry."""
+        (num,), den = _clear_denominators([vec])
+        out = self._blockwise(f, num)
+        return _over(out, den) if Qv in map(type, vec) else out
+
     def apply_generator(self, s: int, vec):
-        zero = _zero_like(vec)
-        return self._blockwise(lambda blk, x: blk.apply(blk.gen_cols[s], x, zero), vec)
+        return self._apply_cleared(lambda blk, x: sparse_operator(blk.gen_cols[s], blk.dim)(x), vec)
 
     def apply_word(self, word: Iterable[int], vec):
         out = list(vec)
@@ -634,16 +619,12 @@ class KModule:
         return self.apply_word(self.group.words[eid], vec)
 
     def apply_fulltwist(self, vec):
-        zero = _zero_like(vec)
-        return self._blockwise(lambda blk, x: blk.apply(blk.twist_cols, x, zero), vec)
+        return self._apply_cleared(lambda blk, x: sparse_operator(blk.twist_cols, blk.dim)(x), vec)
 
     def apply_twist_poly(self, bp: BivarPoly, vec):
         """bp(F) vec for bp(x) = sum_k c_k x^k and F the full twist, block by
-        block (``OrbitModule.twist_poly``, each with its own Kronecker width).
-        Q(v) input runs on D vec and is divided back by D."""
-        (num,), den = _clear_denominators([vec])
-        out = self._blockwise(lambda blk, x: blk.twist_poly(bp, x), num)
-        return _over(out, den) if Qv in map(type, vec) else out
+        block (``OrbitModule.twist_poly``, each with its own Kronecker width)."""
+        return self._apply_cleared(lambda blk, x: blk.twist_poly(bp, x), vec)
 
     def _twist_residual(self, bp: BivarPoly, vec) -> Optional[List[LaurentPoly]]:
         """bp(F) vec for an integral vec, or None when it is zero.  Decided on
@@ -673,14 +654,13 @@ class KModule:
 
         One packed sum per block: the k are cleared to one denominator D and
         packed once at their least exponent lo, the ``images`` table of each
-        gives Phi_z k at base lo + l(z) lo_g, and at each y the T entries at
-        z = y w^-1 are summed as ints (``_packed_sum``) and unpacked once.
-        Width: an entry has coefficients at most C^l(w0) |k|_inf (C from
-        ``OrbitModule.gen_norm``), so the sum at most T C^l(w0) max |k|_inf,
-        T the number of terms nonzero on the block.
+        gives Phi_z k, and at each y the T entries at z = y w^-1 are summed
+        as ints and unpacked once at lo.  Width: an entry has coefficients at
+        most C^l(w0) |k|_inf (C from ``OrbitModule.gen_norm``), so the sum at
+        most T C^l(w0) max |k|_inf, T the number of terms nonzero on the
+        block.
         """
         g = self.group
-        lens = g.lengths
         zero = LaurentPoly.zero()
         winvs = [g.inv_id(w if isinstance(w, int) else g.id_of(w)) for w, _ in terms]
         ks, den = _clear_denominators([k for _, k in terms])
@@ -692,14 +672,13 @@ class KModule:
                     comp.extend([zero] * blk.dim)
                 continue
             norm = max(_norm_inf(part) for _, part in live)
-            b = (len(live) * blk.gen_norm ** lens[g.longest_id] * norm).bit_length() + 1
-            gens, lo_g = blk.packed_gens(b)
+            b = (len(live) * blk.gen_norm ** g.lengths[g.longest_id] * norm).bit_length() + 1
+            gens = blk.packed_gens(b)
             lo = min(x.min_exp for _, part in live for x in part if x)
             tabs = [(winv, blk.images([pack(x, lo, b) for x in part], gens)) for winv, part in live]
             for y, comp in enumerate(comps):
-                zs = [(g.mul_id(y, winv), tab) for winv, tab in tabs]
-                acc, base = _packed_sum([(1, tab[z], lo + lens[z] * lo_g) for z, tab in zs], b)
-                comp.extend(unpack(a, base, b) if a else zero for a in acc)
+                acc = map(sum, zip(*(tab[g.mul_id(y, winv)] for winv, tab in tabs)))
+                comp.extend(unpack(a, lo, b) if a else zero for a in acc)
         return KTuple._of(self, comps, den)
 
     def make_free(self, w, k: Sequence) -> KTuple:
@@ -742,8 +721,7 @@ class KModule:
         Works on the numerators of t; witnesses are divided back by D.  The
         right-hand side t_sw - Phi_s t_w is formed on packed ints, block by
         block: t's numerators are packed once at their least exponent lo,
-        Phi_s t_w is one ``_sparse_step`` at base lo + lo_g, and the term at
-        the higher base is shifted down to the other's.  Its coefficients are
+        and Phi_s t_w is one ``_sparse_step``.  Its coefficients are
         at most (1 + C) max_w |t_w|_inf (C from ``OrbitModule.gen_norm``),
         which sets the width, so it is zero exactly when its ints are; only
         its nonzero entries are unpacked for the solver.
@@ -753,23 +731,21 @@ class KModule:
         blocks = []
         for _, blk, parts in self._parts(t._c):
             b = ((1 + blk.gen_norm) * max(map(_norm_inf, parts))).bit_length() + 1
-            gens, lo_g = blk.packed_gens(b)
             lo = min((x.min_exp for part in parts for x in part if x), default=0)
             packed = [[pack(x, lo, b) for x in part] for part in parts]
-            # t_sw sits at base lo and Phi_s t_w at lo + lo_g
-            blocks.append((gens, b, lo + min(lo_g, 0), b * max(-lo_g, 0), b * max(lo_g, 0), packed))
+            blocks.append((blk.packed_gens(b), b, lo, packed))
         out = []
         for s in range(g.rank):
             for w in range(g.size):
                 sw = g.lmul_id(s, w)
                 diffs = [
-                    (b, base, [(x << sx) - (y << sy) for x, y in zip(tp[sw], _sparse_step(gens[s], tp[w]))])
-                    for gens, b, base, sx, sy, tp in blocks
+                    (b, lo, list(map(operator.sub, tp[sw], _sparse_step(gens[s], tp[w]))))
+                    for gens, b, lo, tp in blocks
                 ]
                 if not any(any(d) for _, _, d in diffs):
                     out.append(_greport(g, s, w, True, witness="0"))
                     continue
-                rhs = [unpack(a, base, b) if a else zero for b, base, d in diffs for a in d]
+                rhs = [unpack(a, lo, b) if a else zero for b, lo, d in diffs for a in d]
                 x = self._solve_image(s, rhs, t.den)
                 witness = None if x is None else _render_vec(x)
                 out.append(_greport(g, s, w, x is not None, witness=witness))
@@ -806,11 +782,10 @@ class KModule:
         of (J, coset representative x) pairs.  Checked over Z[v, v^-1] on
         D k, D the common denominator of k, and on Kronecker-packed ints,
         block by block: k is packed at its least exponent lo_k, the image
-        tables of ``OrbitModule.images`` give Phi_z Phi_x k at base lo_k +
-        (l(z) + l(x)) lo_g, and Phi_w0 is applied to Phi_{w0 y} k with the
-        same step.  The terms are shifted to their least base and summed as
-        ints.  Width: every term has l(z) + l(x) <= 2 l(w0) generator steps,
-        each multiplying the largest coefficient by at most C
+        tables of ``OrbitModule.images`` give Phi_z Phi_x k, Phi_w0 is
+        applied to Phi_{w0 y} k with the same step, and the terms are summed
+        as ints.  Width: every term has l(z) + l(x) <= 2 l(w0) generator
+        steps, each multiplying the largest coefficient by at most C
         (``OrbitModule.gen_norm``), so lhs - rhs has coefficients at most
         bound = (T + 2) C^(2 l(w0)) |D k|_inf on the block, and b =
         bound.bit_length() + 1 fits them in a signed slot.  v -> 2^b is a
@@ -820,9 +795,7 @@ class KModule:
         """
         g = self.group
         n = g.rank
-        lens = g.lengths
         w0 = g.longest_id
-        top = lens[w0]
         (k,), den = _clear_denominators([k])
         terms: List[Tuple[int, int]] = []  # (sign, rep id) per (J, representative)
         for bits in range(1, 1 << n):
@@ -838,21 +811,21 @@ class KModule:
         for start, blk, (part,) in self._parts([k]):
             if not any(part):
                 continue
-            bound = (len(terms) + 2) * blk.gen_norm ** (2 * top) * _norm_inf(part)
+            bound = (len(terms) + 2) * blk.gen_norm ** (2 * g.lengths[w0]) * _norm_inf(part)
             b = bound.bit_length() + 1
-            gens, lo_g = blk.packed_gens(b)
+            gens = blk.packed_gens(b)
             lo_k = min(x.min_exp for x in part if x)
             tab_k = blk.images([pack(x, lo_k, b) for x in part], gens)
             tabs = {x: blk.images(tab_k[x], gens) for x in {x for _, x in terms}}
             for y in range(g.size):
-                summands = [(sign, tabs[x][z], lo_k + (lens[z] + lens[x]) * lo_g) for sign, x, z in left[y]]
-                summands.append((-1, tab_k[y], lo_k + lens[y] * lo_g))
+                summands = [(sign, tabs[x][z]) for sign, x, z in left[y]]
+                summands.append((-1, tab_k[y]))
                 phi = blk.apply_packed(gens, g.words[w0], tab_k[w0y[y]])
-                summands.append((-top_sign, phi, lo_k + (top + lens[w0y[y]]) * lo_g))
-                diff, base = _packed_sum(summands, b)
+                summands.append((-top_sign, phi))
+                diff = _packed_sum(summands)
                 if any(diff):
                     vec = bad.setdefault(y, [LaurentPoly.zero()] * self.dim)
-                    vec[start : start + blk.dim] = [unpack(a, base, b) for a in diff]
+                    vec[start : start + blk.dim] = [unpack(a, lo_k, b) for a in diff]
         return [
             {
                 "check": "canonical",
@@ -898,32 +871,30 @@ class KModule:
                 raise IdentityFailure("a0 + a1 differs from p(v) a")
         cert["sum"] = "pass"
         # (ii) and (iii) on packed ints, block by block: a0 at its least
-        # exponent lo, d = a0_sw - Phi_s a0_w, and (Phi_s^2 - 1) d = (v^4 - 1) d
-        # checked as Phi_s^2 d = v^4 d, v^4 d being d at base + 4.  With C
-        # from gen_norm and A = |a0|_inf on the block, Phi_s^2 a0_w - a0_w,
-        # d and Phi_s^2 d - v^4 d have coefficients at most (C^2 + 1)(C + 1) A.
+        # exponent, d = a0_sw - Phi_s a0_w, and (Phi_s^2 - 1) d = (v^4 - 1) d
+        # checked as Phi_s^2 d = v^4 d, v^4 d being d shifted by 4 slots.
+        # With C from gen_norm and A = |a0|_inf on the block, Phi_s^2 a0_w -
+        # a0_w, d and Phi_s^2 d - v^4 d have coefficients at most
+        # (C^2 + 1)(C + 1) A.
         blocks = []
         for _, blk, parts in self._parts(a0c):
             norm = max(map(_norm_inf, parts))
             if norm:
                 c = blk.gen_norm
                 b = ((c * c + 1) * (c + 1) * norm).bit_length() + 1
-                gens, lo_g = blk.packed_gens(b)
                 lo = min(x.min_exp for part in parts for x in part if x)
                 packed = [[pack(x, lo, b) for x in part] for part in parts]
-                blocks.append((blk, gens, lo_g, b, lo, packed))
+                blocks.append((blk, blk.packed_gens(b), b, packed))
         for s in range(g.rank):
             for w in range(g.size):
                 sw = g.lmul_id(s, w)
                 fixed = step = free = True
-                for blk, gens, lo_g, b, lo, packed in blocks:
+                for blk, gens, b, packed in blocks:
                     x = packed[w]
                     sx = blk.apply_packed(gens, (s,), x)
-                    sq = blk.apply_packed(gens, (s,), sx)
-                    fixed &= not any(_packed_sum([(1, sq, lo + 2 * lo_g), (-1, x, lo)], b)[0])
-                    d, bd = _packed_sum([(1, packed[sw], lo), (-1, sx, lo + lo_g)], b)
-                    dd = blk.apply_packed(gens, (s, s), d)
-                    step &= not any(_packed_sum([(1, dd, bd + 2 * lo_g), (-1, d, bd + 4)], b)[0])
+                    fixed &= blk.apply_packed(gens, (s,), sx) == x
+                    d = list(map(operator.sub, packed[sw], sx))
+                    step &= blk.apply_packed(gens, (s, s), d) == [a << 4 * b for a in d]
                     free &= not any(d)
                 if not fixed:
                     raise IdentityFailure(

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import doctest
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import klwb.rings
 from klwb.rings import (
     BivarPoly,
     LaurentPoly,
@@ -26,6 +28,11 @@ from klwb.rings import (
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
+
+
+def test_docstring_examples():
+    got = doctest.testmod(klwb.rings)
+    assert (got.failed, got.attempted) == (0, 6)
 
 
 def lp(pairs: dict[int, int]) -> LaurentPoly:
