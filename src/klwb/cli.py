@@ -115,15 +115,6 @@ def _from_module_report(rep: dict) -> dict:
     return _entry(rep["check"], rep["status"], detail, rep.get("witness"))
 
 
-def _sparse_vector(M: KModule, rng: random.Random) -> List[LaurentPoly]:
-    return [
-        LaurentPoly({rng.randrange(-2, 3): rng.randrange(-3, 4)})
-        if rng.random() < 0.4
-        else LaurentPoly.zero()
-        for _ in range(M.dim)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
@@ -187,30 +178,17 @@ def _suite_minpoly(cfg: RunConfig) -> List[dict]:
 def _suite_canonical(cfg: RunConfig) -> List[dict]:
     M = KModule.for_type(cfg.cartan_type, cfg.orbit_denominator_bound)
     rng = random.Random(cfg.seed)
-    vecs = [_sparse_vector(M, rng) for _ in range(N_CANONICAL)]
+    vecs = [M.random_poly_vector(rng, 0.4) for _ in range(N_CANONICAL)]
     out = []
     for i, v in enumerate(vecs):
         reports = M.canonical_identity(v)
         bad = [r for r in reports if r["status"] != "pass"]
         if not bad:
-            out.append(
-                _entry(
-                    "canonical",
-                    "pass",
-                    "vector %d: identity holds for all %d group elements"
-                    % (i, len(reports)),
-                )
-            )
-        else:
-            for r in bad:
-                out.append(
-                    _entry(
-                        "canonical",
-                        "fail",
-                        "vector %d: identity fails at y=%s" % (i, r["y"]),
-                        r.get("witness"),
-                    )
-                )
+            detail = "vector %d: identity holds for all %d group elements" % (i, len(reports))
+            out.append(_entry("canonical", "pass", detail))
+        for r in bad:
+            detail = "vector %d: identity fails at y=%s" % (i, r["y"])
+            out.append(_entry("canonical", "fail", detail, r.get("witness")))
     return out
 
 
@@ -223,24 +201,11 @@ def _suite_gluing(cfg: RunConfig) -> List[dict]:
         reports = M.check_gluing(t)
         bad = [r for r in reports if r["status"] != "pass"]
         if not bad:
-            out.append(
-                _entry(
-                    "gluing",
-                    "pass",
-                    "tuple %d: membership holds at all %d (s, w) pairs"
-                    % (i, len(reports)),
-                )
-            )
-        else:
-            for r in bad:
-                out.append(
-                    _entry(
-                        "gluing",
-                        "fail",
-                        "tuple %d: no witness at s=%s, w=%s"
-                        % (i, r["s"], r["w"]),
-                    )
-                )
+            detail = "tuple %d: membership holds at all %d (s, w) pairs" % (i, len(reports))
+            out.append(_entry("gluing", "pass", detail))
+        for r in bad:
+            detail = "tuple %d: no witness at s=%s, w=%s" % (i, r["s"], r["w"])
+            out.append(_entry("gluing", "fail", detail))
     return out
 
 

@@ -17,18 +17,19 @@ Scalars: the module is free over Z[v, v^-1] and every identity checked here
 is Z[v, v^-1]-linear, so it holds for a vector exactly when it holds for a
 nonzero multiple.  A ``KTuple`` is stored as integral numerator vectors
 over one common denominator D (``_clear_denominators``), and gluing, the
-splitting and ``euclid_descent`` compute on the numerators, the gluing
-solver by fraction-free elimination (``linalg.reduce_pair``).
+splitting and ``euclid_descent`` compute on the numerators.
 ``canonical_identity`` clears the denominators of its vector the same way.
 Q(v) appears only where a value leaves: ``KTuple.get``, rendered witnesses
 and ``express_in_free_span``, whose per-block column echelon of the free
-tuples (``OrbitModule._build_free_solver``) stays in Q(v).  Each block
-caches two kinds of solver in one dict under one lock, built once each:
-the fraction-free image of Phi_s^2 - 1 for every s (gluing) and that
-echelon (the free span).  ``apply_generator``, ``apply_fulltwist`` and
-``apply_twist_poly`` take one route (``KModule._apply_cleared``): they
-apply the operator over Z[v, v^-1] to D vec and divide back by D for Q(v)
-input, so each returns a vector in the ring of its input entries.
+tuples (``OrbitModule._build_free_solver``) stays in Q(v).  Gluing needs
+no elimination: a_s = +-T_s maps each span{T_u 1_p, T_su 1_p} to itself,
+so Phi_s^2 - 1 is a sum of 2x2 blocks, solved pair by pair
+(``OrbitModule.solve_image``).  Each block builds its pair tables, its
+full-twist columns and the free-span echelon once each, on first use.
+``apply_generator``, ``apply_fulltwist`` and ``apply_twist_poly`` take
+one route (``KModule._apply_cleared``): they apply the operator over
+Z[v, v^-1] to D vec and divide back by D for Q(v) input, so each returns
+a vector in the ring of its input entries.
 
 Kronecker packing (``rings.pack``): an int n at base B and width b stands
 for v^B times the polynomial whose signed base-2^b digits are n's, that is
@@ -59,12 +60,14 @@ only a nonzero one.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .klalgebra import KLAlgebra
-from .linalg import echelon_row, reduce_pair, sparse_operator
+from .linalg import sparse_operator
 from .rings import (
     BivarPoly,
     LaurentPoly,
@@ -228,6 +231,8 @@ def _clear_denominators(vecs) -> Tuple[List[List[LaurentPoly]], LaurentPoly]:
     vecs = [[_scalar(x) for x in vec] for vec in vecs]
     one = LaurentPoly.one()
     dens = {x.den for vec in vecs for x in vec if isinstance(x, Qv)}
+    if not dens:
+        return vecs, one
     den = one
     for d in dens:
         den = _lcm(den, d)
@@ -255,7 +260,7 @@ def _sparse_step(entries, acc):
 
 def _norm_inf(vec) -> int:
     """The largest coefficient size over the entries of an integral vector."""
-    return max((abs(c) for x in vec for c in x._c.values()), default=0)
+    return max(map(abs, itertools.chain.from_iterable(x._c.values() for x in vec)), default=0)
 
 
 def _gen_norm(gen_cols, dim: int) -> int:
@@ -309,6 +314,12 @@ def _eliminate(u: dict, rows) -> List[tuple]:
     return taken
 
 
+def _ratio(num: LaurentPoly, d: LaurentPoly, den: LaurentPoly) -> Qv:
+    """num / (d den), a gcd taken only when d does not divide num."""
+    q = num.divide_exact(d)
+    return Qv(num, d * den) if q is None else Qv(q, den)
+
+
 def _span(x: Qv) -> int:
     """The degree span of x's numerator plus the degree of its denominator."""
     return x.num.max_exp - x.num.min_exp + x.den.max_exp
@@ -317,21 +328,21 @@ def _span(x: Qv) -> int:
 class OrbitModule:
     """One summand: an orbit algebra acting on itself, in block coordinates
     (``alg.flat_index``).  ``gen_cols[s][j]`` and ``twist_cols[j]`` list the
-    (row, coeff) of column j of Phi_s and of the full twist F.  Two kinds of
-    solver share one cache and one lock (``_solver``): the image of
-    Phi_s^2 - 1 per s (``solve_image``) and the free-span echelon
-    (``solve_free``), each built once per block even across threads.
-    ``images``, ``apply_packed`` and ``twist_packed`` work on
-    Kronecker-packed ints (see the module docstring)."""
+    (row, coeff) of column j of Phi_s and of the full twist F.  Three
+    builders share one cache and one lock (``_solver``), each run on first
+    use and once per block even across threads: the pair table of
+    Phi_s^2 - 1 per s (``solve_image``), ``twist_cols`` and the free-span
+    echelon (``solve_free``).  ``images``, ``apply_packed`` and
+    ``twist_packed`` work on Kronecker-packed ints (module docstring)."""
 
-    def __init__(self, alg, twist):
+    def __init__(self, alg):
         self.alg = alg
         self.dim = alg.dim
         self.gen_cols = [alg.columns(alg.pi_generator(s)) for s in range(alg.group.rank)]
-        self.twist_cols = alg.columns(twist)
         self.gen_norm = _gen_norm(self.gen_cols, self.dim)
-        self._solvers: Dict[int, list] = {}
+        self._solvers: Dict[object, list] = {}
         self._solver_lock = threading.Lock()
+        self._last_gens: Tuple[int, list] = (0, [])
 
     def _packed_op(self, cols, b: int) -> List[tuple]:
         """[(j, r, pack(f, 0, b)) per entry f = op_rj] for the operator with
@@ -343,8 +354,12 @@ class OrbitModule:
         return [(j, r, pack(f, 0, b)) for j, r, f in entries]
 
     def packed_gens(self, b: int) -> List[List[tuple]]:
-        """``_packed_op`` of Phi_s per s: ``_sparse_step(gens[s], x)`` is Phi_s x."""
-        return [self._packed_op(cols, b) for cols in self.gen_cols]
+        """``_packed_op`` of Phi_s per s: ``_sparse_step(gens[s], x)`` is Phi_s x.
+        The last width's result is kept, as calls on like inputs share b."""
+        got = self._last_gens
+        if got[0] != b:
+            got = self._last_gens = (b, [self._packed_op(cols, b) for cols in self.gen_cols])
+        return got[1]
 
     def images(self, vec: List[int], gens) -> List[List[int]]:
         """Phi_z vec for every group element z, on packed ints (gens from
@@ -428,53 +443,74 @@ class OrbitModule:
         return acc, lo_c + lo_v, b
 
     def _solver(self, key, build):
-        """build(), cached under key: built once per block even across
-        threads.  Keys are s for ``_build_solver(s)`` and "free" for
-        ``_build_free_solver()``."""
+        """build(), cached under key and built once per block even across threads:
+        s for ``_build_pairs(s)``, "twist" and "free" for the other builders."""
         with self._solver_lock:
             got = self._solvers.get(key)
             if got is None:
                 got = self._solvers[key] = build()
         return got
 
-    def _build_solver(self, s: int):
-        """Echelonized image of Phi_s^2 - 1 on this block, with preimages.
+    @property
+    def twist_cols(self) -> List[list]:
+        return self._solver("twist", self._build_twist)
 
-        Fraction-free over Z[v, v^-1]: a row (pivot, col, pre, d) has
-        (Phi_s^2 - 1) pre = col and col[pivot] = d, a unit pivot scaled to
-        1 (``linalg.echelon_row``).
-        """
-        n = self.dim
-        gen = self.gen_cols[s]
-        zero, one = LaurentPoly.zero(), LaurentPoly.one()
-        rows = []
-        for j in range(n):
-            col = [zero] * n
-            for r, c in gen[j]:
-                for r2, c2 in gen[r]:
-                    col[r2] = col[r2] + c * c2
-            col[j] = col[j] - one
-            pre = [zero] * n
-            pre[j] = one
-            row = echelon_row(*reduce_pair(col, pre, rows)[:2])
-            if row is not None:
-                rows.append(row)
-        return rows
+    def _build_twist(self) -> List[list]:
+        """Columns of F = a_w0^2: the projected generators along w0's word, twice."""
+        alg = self.alg
+        word = alg.group.words[alg.group.longest_id] * 2
+        return alg.columns(functools.reduce(alg.mul, map(alg.pi_generator, word), alg.unit()))
 
-    def solve_image(self, s: int, rhs: List[LaurentPoly], den: LaurentPoly):
-        """Solve (Phi_s^2 - 1) x = rhs / den; None when rhs is outside the image.
+    def _build_pairs(self, s: int) -> List[tuple]:
+        """Phi_s^2 - 1 in 2x2 blocks: entry i is (j, k, m, piv, det m, beta)
+        for the pair j < k holding i, m[a][b] at row (j, k)[a] and column
+        (j, k)[b], piv the first nonzero column of m (None for m = 0) and
+        beta = m[1][piv] / m[0][piv] when exact, else None.  ValueError when
+        Phi_s does not map each span{T_u 1_p, T_su 1_p} to itself."""
+        alg, cols = self.alg, self.gen_cols[s]
+        table: List[tuple] = [None] * self.dim  # type: ignore[list-item]
+        for j in range(self.dim):
+            e, p = divmod(j, alg.orbit.size)  # j = alg.flat_index(e, p)
+            pair = (j, alg.flat_index(alg.group.lmul_id(s, e), p))
+            if pair[1] < j:
+                continue
+            phi = [[LaurentPoly.zero()] * 2 for _ in pair]
+            for b, c in enumerate(pair):
+                for r, f in cols[c]:
+                    if r not in pair:
+                        raise ValueError("Phi_s must map each pair {T_u 1_p, T_su 1_p} to itself")
+                    phi[pair.index(r)][b] = f
+            m = [[phi[a][0] * phi[0][b] + phi[a][1] * phi[1][b] - int(a == b) for b in (0, 1)] for a in (0, 1)]
+            piv = next((b for b in (0, 1) if m[0][b] or m[1][b]), None)
+            beta = m[1][piv].divide_exact(m[0][piv]) if piv is not None and m[0][piv] else None
+            table[j] = table[pair[1]] = pair + (m, piv, m[0][0] * m[1][1] - m[0][1] * m[1][0], beta)
+        return table
 
-        Reduces to (Phi_s^2 - 1) y = sigma * rhs over Z[v, v^-1], sigma from
-        ``reduce_pair``; only x = y / (sigma * den) is formed in Q(v).
-        """
-        if not any(rhs):
-            return [QV_ZERO] * self.dim
-        # reduce_pair keeps res = sigma * rhs + (Phi_s^2 - 1) negx
-        solver = self._solver(s, lambda: self._build_solver(s))
-        res, negx, sigma = reduce_pair(rhs, [LaurentPoly.zero()] * self.dim, solver)
-        if any(res):
-            return None
-        return _over([-a for a in negx], sigma * den)
+    def solve_image(self, s: int, rhs: Dict[int, LaurentPoly], den: LaurentPoly) -> Optional[dict]:
+        """Solve (Phi_s^2 - 1) x = rhs / den, rhs and x given by their nonzero
+        entries {i: value}; None when rhs is outside the image.
+
+        Per pair (``_build_pairs``) where rhs is nonzero: rank 2 by the
+        adjugate, rank 1 at the pivot when rhs is parallel to its column,
+        rank 0 never.  x is the unique solution supported on the columns
+        independent of those before them."""
+        x: Dict[int, Qv] = {}
+        table = self._solver(s, lambda: self._build_pairs(s))
+        zero = LaurentPoly.zero()
+        for i in rhs:
+            j, k, m, piv, det, beta = table[i]
+            if i == k and j in rhs:
+                continue  # solved at j
+            rj, rk = rhs.get(j, zero), rhs.get(k, zero)
+            if det:
+                x[j] = _ratio(m[1][1] * rj - m[0][1] * rk, det, den)
+                x[k] = _ratio(m[0][0] * rk - m[1][0] * rj, det, den)
+            elif piv is None or (rk != rj * beta if beta else rj * m[1][piv] != rk * m[0][piv]):
+                return None
+            else:
+                a = 0 if m[0][piv] else 1
+                x[(j, k)[piv]] = _ratio((rj, rk)[a], m[a][piv], den)
+        return x
 
     def _build_free_solver(self):
         """Column echelon over Q(v) of the block's stacked free tuples.
@@ -560,7 +596,7 @@ class KModule:
     def __init__(self, kl: KLAlgebra):
         self.kl = kl
         self.group = kl.group
-        self.blocks = tuple(map(OrbitModule, kl.algebras, kl.full_twist().projections))
+        self.blocks = tuple(map(OrbitModule, kl.algebras))
         self.dim = sum(blk.dim for blk in self.blocks)
 
     @classmethod
@@ -685,35 +721,28 @@ class KModule:
         """The free tuple F(w, k), with components Phi_{y w^-1} k."""
         return self.free_sum([(w, k)])
 
-    def random_vector(self, rng, density: float = 0.5) -> List[Qv]:
-        out = self.zero_vector()
+    def random_poly_vector(self, rng, density: float = 0.5) -> List[LaurentPoly]:
+        """Entries c v^e, -2 <= e <= 2 and -3 <= c <= 3, each with chance density."""
+        out = [LaurentPoly.zero()] * self.dim
         for i in range(self.dim):
             if rng.random() < density:
-                out[i] = Qv(
-                    LaurentPoly({rng.randrange(-2, 3): rng.randrange(-3, 4)})
-                )
+                out[i] = LaurentPoly({rng.randrange(-2, 3): rng.randrange(-3, 4)})
         return out
 
+    def random_vector(self, rng, density: float = 0.5) -> List[Qv]:
+        """``random_poly_vector`` in Q(v)."""
+        return [Qv(x) if x else QV_ZERO for x in self.random_poly_vector(rng, density)]
+
     def random_free_combination(self, rng, terms: int = 3) -> KTuple:
-        """Sum of free tuples; satisfies the gluing condition by construction."""
+        """Sum of free tuples, drawn as ``random_vector`` but kept integral;
+        satisfies the gluing condition by construction."""
         drawn = []
         for _ in range(terms):
             w = rng.randrange(self.group.size)
-            drawn.append((w, self.random_vector(rng)))
+            drawn.append((w, self.random_poly_vector(rng)))
         return self.free_sum(drawn)
 
     # -- gluing -------------------------------------------------------------------
-
-    def _solve_image(self, s: int, rhs: List[LaurentPoly], den: LaurentPoly):
-        """Solve (Phi_s^2 - 1) x = rhs / den blockwise; None when rhs is
-        outside the image (``OrbitModule.solve_image``)."""
-        x = []
-        for _, blk, (part,) in self._parts([rhs]):
-            got = blk.solve_image(s, part, den)
-            if got is None:
-                return None
-            x.extend(got)
-        return x
 
     def check_gluing(self, t: KTuple) -> List[dict]:
         """Per-(s, w) membership reports with solver witnesses.
@@ -724,31 +753,33 @@ class KModule:
         and Phi_s t_w is one ``_sparse_step``.  Its coefficients are
         at most (1 + C) max_w |t_w|_inf (C from ``OrbitModule.gen_norm``),
         which sets the width, so it is zero exactly when its ints are; only
-        its nonzero entries are unpacked for the solver.
+        its nonzero entries are unpacked, for ``OrbitModule.solve_image`` on
+        the blocks where it is nonzero.
         """
         g = self.group
-        zero = LaurentPoly.zero()
         blocks = []
-        for _, blk, parts in self._parts(t._c):
+        for start, blk, parts in self._parts(t._c):
             b = ((1 + blk.gen_norm) * max(map(_norm_inf, parts))).bit_length() + 1
-            lo = min((x.min_exp for part in parts for x in part if x), default=0)
+            lo = min((min(x._c) for part in parts for x in part if x), default=0)
             packed = [[pack(x, lo, b) for x in part] for part in parts]
-            blocks.append((blk.packed_gens(b), b, lo, packed))
+            blocks.append((start, blk, blk.packed_gens(b), b, lo, packed))
         out = []
         for s in range(g.rank):
             for w in range(g.size):
                 sw = g.lmul_id(s, w)
-                diffs = [
-                    (b, lo, list(map(operator.sub, tp[sw], _sparse_step(gens[s], tp[w]))))
-                    for gens, b, lo, tp in blocks
-                ]
-                if not any(any(d) for _, _, d in diffs):
+                rhs = []  # (start, block, its nonzero entries) where nonzero
+                for start, blk, gens, b, lo, tp in blocks:
+                    d = map(operator.sub, tp[sw], _sparse_step(gens[s], tp[w]))
+                    part = {i: unpack(a, lo, b) for i, a in enumerate(d) if a}
+                    if part:
+                        rhs.append((start, blk, part))
+                if not rhs:
                     out.append(_greport(g, s, w, True, witness="0"))
                     continue
-                rhs = [unpack(a, lo, b) if a else zero for b, lo, d in diffs for a in d]
-                x = self._solve_image(s, rhs, t.den)
-                witness = None if x is None else _render_vec(x)
-                out.append(_greport(g, s, w, x is not None, witness=witness))
+                sols = [(start, blk.solve_image(s, part, t.den)) for start, blk, part in rhs]
+                ok = all(x is not None for _, x in sols)
+                x = {start + i: y for start, got in sols for i, y in got.items()} if ok else None
+                out.append(_greport(g, s, w, ok, witness=None if x is None else _render_vec(x)))
         return out
 
     def gluing_ok(self, t: KTuple) -> bool:
@@ -885,6 +916,7 @@ class KModule:
                 lo = min(x.min_exp for part in parts for x in part if x)
                 packed = [[pack(x, lo, b) for x in part] for part in parts]
                 blocks.append((blk, blk.packed_gens(b), b, packed))
+        failures = ("Phi_s^2 does not fix a0", "proof step fails", "a0 is not free-compatible")
         for s in range(g.rank):
             for w in range(g.size):
                 sw = g.lmul_id(s, w)
@@ -896,21 +928,9 @@ class KModule:
                     d = list(map(operator.sub, packed[sw], sx))
                     step &= blk.apply_packed(gens, (s, s), d) == [a << 4 * b for a in d]
                     free &= not any(d)
-                if not fixed:
-                    raise IdentityFailure(
-                        "Phi_s^2 does not fix a0 at s=%d, w=%s"
-                        % (s + 1, g.elements[w].word_str)
-                    )
-                if not step:
-                    raise IdentityFailure(
-                        "proof step fails at s=%d, w=%s"
-                        % (s + 1, g.elements[w].word_str)
-                    )
-                if not free:
-                    raise IdentityFailure(
-                        "a0 is not free-compatible at s=%d, w=%s"
-                        % (s + 1, g.elements[w].word_str)
-                    )
+                for ok, what in zip((fixed, step, free), failures):
+                    if not ok:
+                        raise IdentityFailure("%s at s=%d, w=%s" % (what, s + 1, g.elements[w].word_str))
         cert["free"] = "pass"
         for w in range(g.size):
             res = self._twist_residual(ptilde, a1c[w])
@@ -1017,5 +1037,7 @@ def _greport(g, s: int, w: int, ok: bool, witness=None) -> dict:
 
 
 def _render_vec(vec) -> str:
-    bits = ["%d:%s" % (i, a.render()) for i, a in enumerate(vec) if a]
+    """"[i:x_i, ...]" over the nonzero entries of a list or an {i: x_i} dict."""
+    items = sorted(vec.items()) if isinstance(vec, dict) else enumerate(vec)
+    bits = ["%d:%s" % (i, a.render()) for i, a in items if a]
     return "[" + ", ".join(bits) + "]" if bits else "[0]"

@@ -131,31 +131,37 @@ class OrbitAlgebra:
     def mul(self, a: OrbitHeckeElement, b: OrbitHeckeElement) -> OrbitHeckeElement:
         if a.algebra is not self or b.algebra is not self:
             raise OrbitMismatch("operands belong to another orbit algebra")
+        return OrbitHeckeElement(self, self._left_mul(a)(b._t))
+
+    def _left_mul(self, a: OrbitHeckeElement):
+        """terms -> the terms of a times the element with those terms."""
         g = self.group
-        # group the left factor by its idempotent so 1_L 1_{uM} filters cheaply
+        # group a by its idempotent once, so 1_L 1_{uM} filters cheaply
         by_point: Dict[int, List[Tuple[int, LaurentPoly]]] = {}
         for (eid, pidx), c in a._t.items():
             by_point.setdefault(pidx, []).append((eid, c))
-        # within the column of 1_m the point index stays fixed
-        acc: Dict[Tuple[int, int], LaurentPoly] = {}
-        for (u, m), cb in b._t.items():
-            rules = self._rules[m]
-            for eid, ca in by_point.get(self._moved[u][m], ()):
-                cur = {u: cb}
-                for s in reversed(g.words[eid]):
-                    cur = lmul_gen(g, s, cur, rules[s])
-                for k, p in cur.items():
-                    acc[(k, m)] = acc.get((k, m), LaurentPoly.zero()) + ca * p
-        return OrbitHeckeElement(self, acc)
+
+        def times(terms) -> Dict[Tuple[int, int], LaurentPoly]:
+            # within the column of 1_m the point index stays fixed
+            acc: Dict[Tuple[int, int], LaurentPoly] = {}
+            for (u, m), cb in terms.items():
+                rules = self._rules[m]
+                for eid, ca in by_point.get(self._moved[u][m], ()):
+                    cur = {u: cb}
+                    for s in reversed(g.words[eid]):
+                        cur = lmul_gen(g, s, cur, rules[s])
+                    for k, p in cur.items():
+                        acc[(k, m)] = acc.get((k, m), LaurentPoly.zero()) + ca * p
+            return acc
+
+        return times
 
     def columns(self, el: OrbitHeckeElement) -> List[List[Tuple[int, LaurentPoly]]]:
         """Sparse columns of left multiplication by el: column flat_index(eid,
         pidx) lists (flat row, coeff) of el T_eid 1_pidx in ascending row."""
+        times = self._left_mul(el)
         return [
-            [
-                (self.flat_index(e, p), c)
-                for (e, p), c in sorted(self.mul(el, self.basis(eid, pidx))._t.items())
-            ]
+            [(self.flat_index(e, p), c) for (e, p), c in sorted(times({(eid, pidx): _ONE}).items()) if c]
             for eid in range(self.group.size)
             for pidx in range(self.orbit.size)
         ]

@@ -1,8 +1,8 @@
 """Exact linear algebra over Z[v, v^-1] and its fraction field Q(v).
 
 ``reduce_pair`` and ``echelon_row`` eliminate fraction-free over
-Z[v, v^-1]; the gluing solver and the Krylov minimal polynomial use them,
-and only the monic minimal polynomial is divided into Q(v).
+Z[v, v^-1] for the Krylov minimal polynomial, and only the monic minimal
+polynomial is divided into Q(v).
 ``solve_linear``, dense Gauss-Jordan on lists of Qv, has no caller in
 the package: the tests solve with it as the reference for the free-span
 solver (``k0model.OrbitModule.solve_free``), a cached sparse column

@@ -62,6 +62,14 @@ class LaurentPoly:
 
     # -- constructors -------------------------------------------------------
 
+    @staticmethod
+    def _raw(c: dict[int, int]) -> LaurentPoly:
+        """The polynomial with coefficient map c, which holds no zero; not copied."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = c
+        out._hash = None
+        return out
+
     @classmethod
     def zero(cls) -> LaurentPoly:
         return _ZERO
@@ -147,10 +155,7 @@ class LaurentPoly:
                 c[e] = y
             elif e in c:
                 del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return LaurentPoly._raw(c)
 
     __radd__ = __add__
 
@@ -166,10 +171,7 @@ class LaurentPoly:
                 c[e] = y
             elif e in c:
                 del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return LaurentPoly._raw(c)
 
     def __rsub__(self, other: int) -> LaurentPoly:
         return LaurentPoly.const(other) - self
@@ -203,10 +205,7 @@ class LaurentPoly:
                             c[e] = y
                         elif e in c:
                             del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return LaurentPoly._raw(c)
 
     __rmul__ = __mul__
 
@@ -342,11 +341,16 @@ def pack(p: LaurentPoly, lo: int, b: int) -> int:
 
     ``unpack`` inverts it when every coefficient is below 2^(b-1) in size.
     """
-    return sum(x << b * (e - lo) for e, x in p._c.items())
+    n = 0
+    for e, x in p._c.items():
+        n += x << b * (e - lo)
+    return n
 
 
 def unpack(n: int, lo: int, b: int) -> LaurentPoly:
-    """Inverse of ``pack``: read n in base 2^b with signed digits."""
+    """Inverse of ``pack``: read n in base 2^b with signed digits (b >= 2 unless n = 0)."""
+    if n and b < 2:
+        raise ValueError("unpack needs a width of at least 2 bits, got %d" % b)
     c: dict[int, int] = {}
     mask, half, e = (1 << b) - 1, 1 << (b - 1), lo
     while n:
@@ -358,7 +362,7 @@ def unpack(n: int, lo: int, b: int) -> LaurentPoly:
         if d:
             c[e] = d
         e += 1
-    return LaurentPoly(c)
+    return LaurentPoly._raw(c)
 
 
 class SqrtValue:

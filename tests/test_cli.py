@@ -216,13 +216,13 @@ def test_bad_env_thread_count_is_config_error(capsys, monkeypatch):
 
 def test_gluing_builds_each_solver_once_across_threads(capsys, monkeypatch):
     builds = []
-    orig = OrbitModule._build_solver
+    orig = OrbitModule._build_pairs
 
     def counted(self, s):
         builds.append((self.alg.orbit.representative.render(), s))
         return orig(self, s)
 
-    monkeypatch.setattr(OrbitModule, "_build_solver", counted)
+    monkeypatch.setattr(OrbitModule, "_build_pairs", counted)
     per_threads = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so a race shows

@@ -243,26 +243,54 @@ GLUING_REPORT_SHA256 = {
 }
 
 
-def test_gluing_reports_pinned():
-    M = KModule.for_type("A2", 2)
-    # a free combination plus the constant tuple on the trivial orbit's
-    # block, whose witnesses need 1 / (v^2 - 1), so the solver must scale
-    oi = M.kl.orbit_index(parse_point("0,0"))
+def gluing_fixtures(M):
+    """A free combination plus the constant tuple on the trivial orbit's
+    block, whose witnesses need 1 / (v^2 - 1), so the solver must scale;
+    the same plus a basis bump at w = 1, and scaled by 1 / (1 + v^2)."""
+    oi = M.kl.orbit_index(parse_point(",".join("0" * M.group.rank)))
     starts = block_starts(M)
     block = range(starts[oi], starts[oi] + M.blocks[oi].dim)
     unit = [x if i in block else 0 for i, x in enumerate(M.unit_vector())]
     t = M.random_free_combination(random.Random(7), 2) + M.constant_tuple(unit)
-    fixtures = {
+    return {
         "pass": t,
         "fail": t + M.tuple_from({1: M.basis_vector(starts[1])}),
         "scaled": t.scale(Qv(1, lp({0: 1, 2: 1}))),
     }
-    for name, tup in fixtures.items():
+
+
+def assert_gluing_reports(M, pins):
+    for name, tup in gluing_fixtures(M).items():
         rep = M.check_gluing(tup)
         assert any(r["status"] == "fail" for r in rep) == (name == "fail")
         text = json.dumps(rep, sort_keys=True)
         assert "/ (-1 + v^" in text
-        assert hashlib.sha256(text.encode()).hexdigest() == GLUING_REPORT_SHA256[name]
+        assert hashlib.sha256(text.encode()).hexdigest() == pins[name], name
+
+
+def test_gluing_reports_pinned():
+    assert_gluing_reports(KModule.for_type("A2", 2), GLUING_REPORT_SHA256)
+
+
+# the same fixtures on B2/6 and G2/2, pinned while the image of Phi_s^2 - 1
+# was still solved by fraction-free elimination
+GLUING_REPORT_SHA256_MORE = {
+    ("B2", 6): {
+        "pass": "328fa7e71cddf192c2753a1a28693f50fc4307ea6a807c90438951544ea32119",
+        "fail": "9fa5484a9f83e2cbdc48550febfe1d185167564f92ec4b2e13f49273d53f2cf4",
+        "scaled": "cb69689667f1ba8f201707a588a22c62c40d0c239bbb5434ff145c1ede2419da",
+    },
+    ("G2", 2): {
+        "pass": "a70aa12a6fa7b7647a6559a1cb3b0e0ac437a00bfce6458f676de1f88ab3ffba",
+        "fail": "e09809f0bb762e88a197bda781293eadf723c2157c617f37f77b4f3eb97e83dc",
+        "scaled": "11707f507f12a98c73584813d9462753db7fcc2b61e12bd53615efc274d95347",
+    },
+}
+
+
+@pytest.mark.parametrize("t, den", sorted(GLUING_REPORT_SHA256_MORE))
+def test_gluing_reports_pinned_b2_g2(t, den):
+    assert_gluing_reports(KModule.for_type(t, den), GLUING_REPORT_SHA256_MORE[(t, den)])
 
 
 def test_minpoly_operator_non_unit_pivot(monkeypatch):
@@ -332,7 +360,7 @@ def shift_generators(M, shift):
 
 def shift_twist(M, shift):
     for blk in M.blocks:
-        blk.twist_cols = [[(r, f.shifted(shift)) for r, f in col] for col in blk.twist_cols]
+        blk._solvers["twist"] = [[(r, f.shifted(shift)) for r, f in col] for col in blk.twist_cols]
 
 
 def test_operators_outside_z_v_are_rejected():
@@ -395,7 +423,7 @@ def test_random_free_combination_is_the_sum_of_its_draws(t, den):
 
 def gluing_reference(M, t):
     # check_gluing with the right-hand sides formed by apply_generator in
-    # LaurentPoly arithmetic, solved by the same solver
+    # LaurentPoly arithmetic, solved block by block by the same solver
     g = M.group
     out = []
     for s in range(g.rank):
@@ -404,7 +432,13 @@ def gluing_reference(M, t):
             if not any(rhs):
                 out.append(("pass", "0"))
                 continue
-            x = M._solve_image(s, rhs, t.den)
+            x = {}
+            for start, blk, (part,) in M._parts([rhs]):
+                got = blk.solve_image(s, {i: a for i, a in enumerate(part) if a}, t.den)
+                if got is None:
+                    x = None
+                    break
+                x.update((start + i, y) for i, y in got.items())
             out.append(("fail", None) if x is None else ("pass", _render_vec(x)))
     return out
 
@@ -431,6 +465,129 @@ def test_check_gluing_matches_laurent_reference(t, den, shift):
         verdicts |= {status for status, _ in got}
     # v^shift Phi_s can make Phi_s^2 - 1 invertible, so that the bump passes
     assert verdicts == {"pass", "fail"} or shift
+
+
+def image_echelon_reference(blk, s):
+    """Reference for ``OrbitModule._build_pairs``: the image of Phi_s^2 - 1
+    on blk, echelonized fraction-free over Z[v, v^-1] with preimages, the
+    columns in index order.  A row (pivot, col, pre, d) has
+    (Phi_s^2 - 1) pre = col and col[pivot] = d (``linalg.echelon_row``)."""
+    n = blk.dim
+    gen = blk.gen_cols[s]
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    rows = []
+    for j in range(n):
+        col = [zero] * n
+        for r, c in gen[j]:
+            for r2, c2 in gen[r]:
+                col[r2] = col[r2] + c * c2
+        col[j] = col[j] - one
+        pre = [zero] * n
+        pre[j] = one
+        row = linalg.echelon_row(*linalg.reduce_pair(col, pre, rows)[:2])
+        if row is not None:
+            rows.append(row)
+    return rows
+
+
+def solve_image_reference(rows, rhs, den):
+    # reduce_pair keeps res = sigma * rhs + (Phi_s^2 - 1) negx, and negx is
+    # supported on the columns that became rows
+    if not any(rhs):
+        return [Qv(0)] * len(rhs)
+    res, negx, sigma = linalg.reduce_pair(rhs, [LaurentPoly.zero()] * len(rhs), rows)
+    if any(res):
+        return None
+    return [Qv(-a, sigma * den) for a in negx]
+
+
+def pair_ranks(blk, s):
+    return {2 if det else int(piv is not None) for _, _, _, piv, det, _ in blk._build_pairs(s)}
+
+
+@pytest.mark.parametrize(
+    "t, den, shift",
+    [("A1", 6, 0), ("A2", 2, 0), ("B2", 2, 0), ("G2", 2, 0), ("A1", 6, 3), ("A2", 2, 3)],
+)
+def test_solve_image_matches_echelon_reference(t, den, shift):
+    # both return the unique solution supported on the columns independent
+    # of those before them, so verdicts and rendered witnesses agree
+    M = KModule.for_type(t, den)
+    # v^3 Phi_s makes every pair of Phi_s^2 - 1 invertible
+    shift_generators(M, shift)
+    rng = random.Random(11)
+    dens = [LaurentPoly.one(), lp({0: 1, 2: 1}), lp({-1: 2, 0: -1, 2: 3})]
+    ranks, verdicts = set(), set()
+    for blk in M.blocks:
+        for s in range(M.group.rank):
+            ranks |= pair_ranks(blk, s)
+            rows = image_echelon_reference(blk, s)
+            phi = linalg.sparse_operator(blk.gen_cols[s], blk.dim)
+            y = [lp({rng.randrange(-2, 3): rng.randrange(-3, 4)}) for _ in range(blk.dim)]
+            image = [a - b for a, b in zip(phi(phi(y)), y)]
+            bumped = list(image)
+            bumped[rng.randrange(blk.dim)] += lp({1: 1})
+            cases = [image, bumped, [x * lp({-2: 2**70 + 1}) for x in image], [LaurentPoly.zero()] * blk.dim]
+            cases.append([lp({rng.randrange(-2, 3): rng.randrange(1, 4)}) if rng.random() < 0.3 else LaurentPoly.zero() for _ in range(blk.dim)])
+            for rhs in cases:
+                for d in dens:
+                    got = blk.solve_image(s, {i: a for i, a in enumerate(rhs) if a}, d)
+                    want = solve_image_reference(rows, rhs, d)
+                    assert (got is None) == (want is None), (t, s)
+                    if got is not None:
+                        assert _render_vec(got) == _render_vec(want), (t, s)
+                    verdicts.add(got is not None)
+    # rank 0 pairs: A1/6's 1/2 block, where a_s squares to 1
+    assert ranks == ({2} if shift else {0, 1})
+    assert verdicts == ({True} if shift else {True, False})
+
+
+def test_pair_table_rejects_an_entry_outside_its_pair():
+    M = KModule.for_type("A2", 2)
+    blk = M.blocks[0]
+    # column 0 of Phi_1 is T_1 1_p: its pair is {0, its one row}
+    (r, f), = blk.gen_cols[0][0]
+    far = next(i for i in range(blk.dim) if i not in (0, r))
+    blk.gen_cols[0][0] = [(r, f), (far, lp({0: 1}))]
+    with pytest.raises(ValueError, match="pair"):
+        blk.solve_image(0, {0: lp({0: 1})}, LaurentPoly.one())
+
+
+def test_check_gluing_width_boundary():
+    # t_sw - Phi_s t_w reaches its bound (1 + C) max |t|_inf at one
+    # coefficient: t_w carries c against the sign of every term of a row r
+    # of Phi_s with sum_j |(Phi_s)_rj|_1 = C, so (Phi_s t_w)_r = -C c v^E,
+    # and (t_sw)_r = c v^E.  Under v^3 Phi_s every pair of Phi_s^2 - 1 is
+    # invertible, so the witness shows the whole right-hand side.
+    M = KModule.for_type("A1", 6)
+    shift_generators(M, 3)
+    starts = block_starts(M)
+    g = M.group
+    for c in (1, 3, 2**61 - 1):
+        bi = max(range(len(M.blocks)), key=lambda i: M.blocks[i].gen_norm)
+        blk, start = M.blocks[bi], starts[bi]
+        rows = [
+            {r: {} for r in range(blk.dim)} for _ in range(g.rank)
+        ]
+        for s, cols in enumerate(blk.gen_cols):
+            for j, col in enumerate(cols):
+                for r, f in col:
+                    rows[s][r][j] = f
+        s, r = max(
+            ((s, r) for s in range(g.rank) for r in range(blk.dim)),
+            key=lambda sr: sum(sum(map(abs, f._c.values())) for f in rows[sr[0]][sr[1]].values()),
+        )
+        E = 6
+        tw = [LaurentPoly.zero()] * M.dim
+        for j, f in rows[s][r].items():
+            tw[start + j] = lp({E - k: -c if x > 0 else c for k, x in f._c.items()})
+        tsw = [LaurentPoly.zero()] * M.dim
+        tsw[start + r] = lp({E: c})
+        t = M.tuple_from({0: tw, g.lmul_id(s, 0): tsw})
+        rhs = [a - b for a, b in zip(tsw, M.apply_generator(s, tw))]
+        assert max(abs(x) for a in rhs for x in a._c.values()) == (1 + blk.gen_norm) * c
+        rep = M.check_gluing(t)
+        assert [(q["status"], q.get("witness")) for q in rep] == gluing_reference(M, t)
 
 
 def test_free_tuples_satisfy_gluing():
@@ -878,24 +1035,30 @@ def test_module_from_algebra_shares_group():
 
 def test_solver_built_once_under_concurrent_gluing_checks(monkeypatch):
     # the cli runs serially, but library callers may share a module between
-    # threads: each (block, s) solver must still be built exactly once
+    # threads: each cached builder (the pair table of Phi_s^2 - 1 per s, the
+    # twist columns, the free-span echelon) must still run exactly once per
+    # block
     builds = []
-    orig = OrbitModule._build_solver
+    for name in ("_build_pairs", "_build_twist", "_build_free_solver"):
 
-    def counted(self, s):
-        builds.append((id(self), s))
-        time.sleep(0.005)  # a slow build widens the window a race needs
-        return orig(self, s)
+        def counted(self, *args, orig=getattr(OrbitModule, name), name=name):
+            builds.append((id(self), name) + args)
+            time.sleep(0.005)  # a slow build widens the window a race needs
+            return orig(self, *args)
 
-    monkeypatch.setattr(OrbitModule, "_build_solver", counted)
-    M = KModule.for_type("A2", 3)
+        monkeypatch.setattr(OrbitModule, name, counted)
+    M = KModule.for_type("A2", 2)
     rng = random.Random(5)
     tuples = [M.random_free_combination(rng, 3) for _ in range(4)]
-    reports = []
-    workers = [
-        threading.Thread(target=lambda t=t: reports.append(M.check_gluing(t)))
-        for t in tuples
-    ]
+    jobs = [lambda t=t: M.check_gluing(t) for t in tuples]
+    jobs += [lambda t=t: M.apply_fulltwist(t.get(1)) for t in tuples]
+    jobs += [lambda t=t: M.express_in_free_span(t) for t in tuples[:2]]
+    results = [None] * len(jobs)
+
+    def run(i):
+        results[i] = jobs[i]()
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so a race shows
     try:
@@ -906,6 +1069,11 @@ def test_solver_built_once_under_concurrent_gluing_checks(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in workers)
-    assert len(reports) == len(tuples)
-    assert all(r["status"] == "pass" for rep in reports for r in rep)
-    assert len(set(builds)) == len(builds) > 0
+    assert all(r["status"] == "pass" for rep in results[:4] for r in rep)
+    monkeypatch.undo()
+    fresh = KModule.for_type("A2", 2)
+    assert results[4:8] == [fresh.apply_fulltwist(t.get(1)) for t in tuples]
+    assert all(out is not None and out["admissible"] for out in results[8:])
+    want = [(id(blk), name) for blk in M.blocks for name in ("_build_twist", "_build_free_solver")]
+    want += [(id(blk), "_build_pairs", s) for blk in M.blocks for s in range(M.group.rank)]
+    assert sorted(builds) == sorted(want)

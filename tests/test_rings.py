@@ -511,6 +511,16 @@ def test_pack_zero_polynomial():
     assert unpack(0, -3, 7) == ZERO
 
 
+def test_unpack_rejects_one_bit_slots():
+    # a one-bit slot holds no signed digit but 0: an all-zero block packs at
+    # b = 1, and any nonzero n fails at once instead of never ending
+    assert unpack(0, 4, 1) == ZERO
+    with pytest.raises(ValueError, match="at least 2 bits"):
+        unpack(1, 0, 1)
+    with pytest.raises(ValueError):
+        unpack(-5, 0, 0)
+
+
 @props
 @given(st.integers(3, 80), st.lists(st.sampled_from((1, -1, 0)), max_size=8), st.integers(-5, 5))
 def test_pack_unpack_extreme_slots(b, signs, lo):
