@@ -44,12 +44,13 @@ The entries of every Phi_s and of F lie in Z[v] (a_s = +-T_s with
 outside Z[v]) and an operator step keeps the base: every packed value in
 a kernel sits at the base of the kernel's input, and sums are plain int
 sums.  ``OrbitModule.images`` is the one image kernel.  ``free_sum`` sums
-the tables of all its terms as ints and unpacks each entry once
-(``make_free`` is its one-term case, and ``random_free_combination`` calls
-it on its draws); the free-span echelon unpacks the tables of the basis
-vectors.  ``check_gluing`` forms each right-hand side t_sw - Phi_s t_w
-with one generator step on t packed once and unpacks only its nonzero
-entries for the solver, while ``canonical_identity`` and the Phi_s^2 and
+the tables of all its terms as ints and keeps them packed in the tuple,
+each entry unpacked once when first read (``make_free`` is its one-term
+case, and ``random_free_combination`` calls it on its draws); the
+free-span echelon unpacks the tables of the basis vectors.
+``check_gluing`` forms each right-hand side t_sw - Phi_s t_w with one
+generator step on t packed once (or as ``free_sum`` left it) and unpacks
+only its nonzero entries for the solver, while ``canonical_identity`` and the Phi_s^2 and
 proof-step checks of ``polyconj_split`` stay packed to the verdict and
 unpack only a failure witness.  ``apply_twist_poly``, the splitting's
 kernel, runs Horner on packed ints the same way
@@ -116,10 +117,13 @@ class KTuple:
     Stored over Z[v, v^-1]: ``_c[w]`` is the numerator vector at w and
     ``den`` the one denominator D they share, at construction the lcm of
     the entry denominators (1 for polynomial input).  ``get`` divides back
-    into Q(v).  D need not be reduced, so ``==`` cross-multiplies.
+    into Q(v).  D need not be reduced, so ``==`` cross-multiplies.  A tuple
+    from ``KModule.free_sum`` keeps its blocks packed instead, ``_packed``
+    holding (lo, b, rows) per block with rows[y] the ints at y, and unpacks
+    ``_c`` on first use: ``check_gluing`` reads ``_packed`` directly.
     """
 
-    __slots__ = ("module", "_c", "den")
+    __slots__ = ("module", "_nums", "_packed", "den")
 
     def __init__(self, module: "KModule", components):
         g = module.group
@@ -130,16 +134,28 @@ class KTuple:
         zero = [LaurentPoly.zero()] * module.dim
         self._set(module, [cs.get(e, zero) for e in range(g.size)], den)
 
-    def _set(self, module: "KModule", nums, den: LaurentPoly) -> "KTuple":
+    def _set(self, module: "KModule", nums, den: LaurentPoly, packed=None) -> "KTuple":
         self.module = module
-        self._c = [tuple(vec) for vec in nums]
+        self._nums = None if nums is None else [tuple(vec) for vec in nums]
+        self._packed = packed
         self.den = den
         return self
 
     @classmethod
-    def _of(cls, module: "KModule", nums, den: LaurentPoly) -> "KTuple":
-        """The tuple with numerator vectors nums, one per element id, over den."""
-        return cls.__new__(cls)._set(module, nums, den)
+    def _of(cls, module: "KModule", nums, den: LaurentPoly, packed=None) -> "KTuple":
+        """The tuple with numerator vectors nums, one per element id, over den
+        (or with nums None, the one whose blocks ``packed`` holds)."""
+        return cls.__new__(cls)._set(module, nums, den, packed)
+
+    @property
+    def _c(self) -> List[Tuple[LaurentPoly, ...]]:
+        if self._nums is None:
+            zero = LaurentPoly.zero()
+            self._nums = [
+                tuple(unpack(a, lo, b) if a else zero for lo, b, tab in self._packed for a in tab[y])
+                for y in range(self.module.group.size)
+            ]
+        return self._nums
 
     @property
     def components(self):
@@ -342,7 +358,7 @@ class OrbitModule:
         self.gen_norm = _gen_norm(self.gen_cols, self.dim)
         self._solvers: Dict[object, list] = {}
         self._solver_lock = threading.Lock()
-        self._last_gens: Tuple[int, list] = (0, [])
+        self._last_gens: Tuple[Optional[int], list] = (None, [])
 
     def _packed_op(self, cols, b: int) -> List[tuple]:
         """[(j, r, pack(f, 0, b)) per entry f = op_rj] for the operator with
@@ -691,31 +707,29 @@ class KModule:
         One packed sum per block: the k are cleared to one denominator D and
         packed once at their least exponent lo, the ``images`` table of each
         gives Phi_z k, and at each y the T entries at z = y w^-1 are summed
-        as ints and unpacked once at lo.  Width: an entry has coefficients at
-        most C^l(w0) |k|_inf (C from ``OrbitModule.gen_norm``), so the sum at
-        most T C^l(w0) max |k|_inf, T the number of terms nonzero on the
-        block.
+        as ints, kept packed in the tuple (``KTuple._packed``) until read.
+        Width: an entry has coefficients at most C^l(w0) |k|_inf (C from
+        ``OrbitModule.gen_norm``), so the sum at most B = T C^l(w0) max
+        |k|_inf, T the number of terms nonzero on the block; b fits
+        (1 + C) B, so that ``check_gluing`` reads the packed rows as they are.
         """
         g = self.group
-        zero = LaurentPoly.zero()
         winvs = [g.inv_id(w if isinstance(w, int) else g.id_of(w)) for w, _ in terms]
+        zs = [[g.mul_id(y, winv) for winv in winvs] for y in range(g.size)]
         ks, den = _clear_denominators([k for _, k in terms])
-        comps: List[List[LaurentPoly]] = [[] for _ in range(g.size)]
+        packed = []
         for _, blk, parts in self._parts(ks):
-            live = [(winv, part) for winv, part in zip(winvs, parts) if any(part)]
+            live = [(i, part) for i, part in enumerate(parts) if any(part)]
             if not live:
-                for comp in comps:
-                    comp.extend([zero] * blk.dim)
+                packed.append((0, 2, [[0] * blk.dim] * g.size))
                 continue
             norm = max(_norm_inf(part) for _, part in live)
-            b = (len(live) * blk.gen_norm ** g.lengths[g.longest_id] * norm).bit_length() + 1
+            b = ((1 + blk.gen_norm) * len(live) * blk.gen_norm ** g.lengths[g.longest_id] * norm).bit_length() + 1
             gens = blk.packed_gens(b)
             lo = min(x.min_exp for _, part in live for x in part if x)
-            tabs = [(winv, blk.images([pack(x, lo, b) for x in part], gens)) for winv, part in live]
-            for y, comp in enumerate(comps):
-                acc = map(sum, zip(*(tab[g.mul_id(y, winv)] for winv, tab in tabs)))
-                comp.extend(unpack(a, lo, b) if a else zero for a in acc)
-        return KTuple._of(self, comps, den)
+            tabs = [(i, blk.images([pack(x, lo, b) for x in part], gens)) for i, part in live]
+            packed.append((lo, b, [list(map(sum, zip(*(tab[z[i]] for i, tab in tabs)))) for z in zs]))
+        return KTuple._of(self, None, den, packed)
 
     def make_free(self, w, k: Sequence) -> KTuple:
         """The free tuple F(w, k), with components Phi_{y w^-1} k."""
@@ -749,20 +763,26 @@ class KModule:
 
         Works on the numerators of t; witnesses are divided back by D.  The
         right-hand side t_sw - Phi_s t_w is formed on packed ints, block by
-        block: t's numerators are packed once at their least exponent lo,
-        and Phi_s t_w is one ``_sparse_step``.  Its coefficients are
-        at most (1 + C) max_w |t_w|_inf (C from ``OrbitModule.gen_norm``),
-        which sets the width, so it is zero exactly when its ints are; only
-        its nonzero entries are unpacked, for ``OrbitModule.solve_image`` on
-        the blocks where it is nonzero.
+        block: t's numerators are packed once at their least exponent lo
+        (a tuple from ``free_sum`` comes packed), and Phi_s t_w is one
+        ``_sparse_step``.  Its coefficients are at most (1 + C) max_w
+        |t_w|_inf (C from ``OrbitModule.gen_norm``), which sets the width, so
+        it is zero exactly when its ints are; only its nonzero entries are
+        unpacked, for ``OrbitModule.solve_image`` on the blocks where it is
+        nonzero.
         """
         g = self.group
-        blocks = []
-        for start, blk, parts in self._parts(t._c):
-            b = ((1 + blk.gen_norm) * max(map(_norm_inf, parts))).bit_length() + 1
-            lo = min((min(x._c) for part in parts for x in part if x), default=0)
-            packed = [[pack(x, lo, b) for x in part] for part in parts]
-            blocks.append((start, blk, blk.packed_gens(b), b, lo, packed))
+        packed = t._packed
+        if packed is None:
+            packed = []
+            for _, blk, parts in self._parts(t._c):
+                b = ((1 + blk.gen_norm) * max(map(_norm_inf, parts))).bit_length() + 1
+                lo = min((min(x._c) for part in parts for x in part if x), default=0)
+                packed.append((lo, b, [[pack(x, lo, b) for x in part] for part in parts]))
+        blocks = [
+            (start, blk, blk.packed_gens(b), b, lo, tab)
+            for (start, blk, _), (lo, b, tab) in zip(self._parts([]), packed)
+        ]
         out = []
         for s in range(g.rank):
             for w in range(g.size):

@@ -449,9 +449,12 @@ def test_check_gluing_matches_laurent_reference(t, den, shift):
     shift_generators(M, shift)
     rng = random.Random(5)
     # built without free_sum, so that this test checks check_gluing alone
-    free = free_reference(M, [(rng.randrange(M.group.size), M.random_vector(rng)) for _ in range(2)])
+    terms = [(rng.randrange(M.group.size), M.random_vector(rng)) for _ in range(2)]
+    free = free_reference(M, terms)
     cases = [
         free,
+        # free_sum's tuple, whose packed rows check_gluing reads as they are
+        M.free_sum(terms),
         free + M.tuple_from({1: M.basis_vector(block_starts(M)[1])}),
         free.scale(Qv(1, lp({0: 1, 2: 1}))),
         M.zero_tuple(),
