@@ -184,11 +184,24 @@ def _suite_canonical(cfg: RunConfig) -> List[dict]:
         reports = M.canonical_identity(v)
         bad = [r for r in reports if r["status"] != "pass"]
         if not bad:
-            detail = "vector %d: identity holds for all %d group elements" % (i, len(reports))
-            out.append(_entry("canonical", "pass", detail))
-        for r in bad:
-            detail = "vector %d: identity fails at y=%s" % (i, r["y"])
-            out.append(_entry("canonical", "fail", detail, r.get("witness")))
+            out.append(
+                _entry(
+                    "canonical",
+                    "pass",
+                    "vector %d: identity holds for all %d group elements"
+                    % (i, len(reports)),
+                )
+            )
+        else:
+            for r in bad:
+                out.append(
+                    _entry(
+                        "canonical",
+                        "fail",
+                        "vector %d: identity fails at y=%s" % (i, r["y"]),
+                        r.get("witness"),
+                    )
+                )
     return out
 
 
@@ -201,11 +214,24 @@ def _suite_gluing(cfg: RunConfig) -> List[dict]:
         reports = M.check_gluing(t)
         bad = [r for r in reports if r["status"] != "pass"]
         if not bad:
-            detail = "tuple %d: membership holds at all %d (s, w) pairs" % (i, len(reports))
-            out.append(_entry("gluing", "pass", detail))
-        for r in bad:
-            detail = "tuple %d: no witness at s=%s, w=%s" % (i, r["s"], r["w"])
-            out.append(_entry("gluing", "fail", detail))
+            out.append(
+                _entry(
+                    "gluing",
+                    "pass",
+                    "tuple %d: membership holds at all %d (s, w) pairs"
+                    % (i, len(reports)),
+                )
+            )
+        else:
+            for r in bad:
+                out.append(
+                    _entry(
+                        "gluing",
+                        "fail",
+                        "tuple %d: no witness at s=%s, w=%s"
+                        % (i, r["s"], r["w"]),
+                    )
+                )
     return out
 
 

@@ -44,13 +44,12 @@ The entries of every Phi_s and of F lie in Z[v] (a_s = +-T_s with
 outside Z[v]) and an operator step keeps the base: every packed value in
 a kernel sits at the base of the kernel's input, and sums are plain int
 sums.  ``OrbitModule.images`` is the one image kernel.  ``free_sum`` sums
-the tables of all its terms as ints and keeps them packed in the tuple,
-each entry unpacked once when first read (``make_free`` is its one-term
-case, and ``random_free_combination`` calls it on its draws); the
-free-span echelon unpacks the tables of the basis vectors.
-``check_gluing`` forms each right-hand side t_sw - Phi_s t_w with one
-generator step on t packed once (or as ``free_sum`` left it) and unpacks
-only its nonzero entries for the solver, while ``canonical_identity`` and the Phi_s^2 and
+the tables of all its terms as ints and unpacks each entry once
+(``make_free`` is its one-term case, and ``random_free_combination`` calls
+it on its draws); the free-span echelon unpacks the tables of the basis
+vectors.  ``check_gluing`` forms each right-hand side t_sw - Phi_s t_w
+with one generator step on t packed once and unpacks only its nonzero
+entries for the solver, while ``canonical_identity`` and the Phi_s^2 and
 proof-step checks of ``polyconj_split`` stay packed to the verdict and
 unpack only a failure witness.  ``apply_twist_poly``, the splitting's
 kernel, runs Horner on packed ints the same way
@@ -61,8 +60,6 @@ only a nonzero one.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import operator
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -117,13 +114,10 @@ class KTuple:
     Stored over Z[v, v^-1]: ``_c[w]`` is the numerator vector at w and
     ``den`` the one denominator D they share, at construction the lcm of
     the entry denominators (1 for polynomial input).  ``get`` divides back
-    into Q(v).  D need not be reduced, so ``==`` cross-multiplies.  A tuple
-    from ``KModule.free_sum`` keeps its blocks packed instead, ``_packed``
-    holding (lo, b, rows) per block with rows[y] the ints at y, and unpacks
-    ``_c`` on first use: ``check_gluing`` reads ``_packed`` directly.
+    into Q(v).  D need not be reduced, so ``==`` cross-multiplies.
     """
 
-    __slots__ = ("module", "_nums", "_packed", "den")
+    __slots__ = ("module", "_c", "den")
 
     def __init__(self, module: "KModule", components):
         g = module.group
@@ -134,28 +128,16 @@ class KTuple:
         zero = [LaurentPoly.zero()] * module.dim
         self._set(module, [cs.get(e, zero) for e in range(g.size)], den)
 
-    def _set(self, module: "KModule", nums, den: LaurentPoly, packed=None) -> "KTuple":
+    def _set(self, module: "KModule", nums, den: LaurentPoly) -> "KTuple":
         self.module = module
-        self._nums = None if nums is None else [tuple(vec) for vec in nums]
-        self._packed = packed
+        self._c = [tuple(vec) for vec in nums]
         self.den = den
         return self
 
     @classmethod
-    def _of(cls, module: "KModule", nums, den: LaurentPoly, packed=None) -> "KTuple":
-        """The tuple with numerator vectors nums, one per element id, over den
-        (or with nums None, the one whose blocks ``packed`` holds)."""
-        return cls.__new__(cls)._set(module, nums, den, packed)
-
-    @property
-    def _c(self) -> List[Tuple[LaurentPoly, ...]]:
-        if self._nums is None:
-            zero = LaurentPoly.zero()
-            self._nums = [
-                tuple(unpack(a, lo, b) if a else zero for lo, b, tab in self._packed for a in tab[y])
-                for y in range(self.module.group.size)
-            ]
-        return self._nums
+    def _of(cls, module: "KModule", nums, den: LaurentPoly) -> "KTuple":
+        """The tuple with numerator vectors nums, one per element id, over den."""
+        return cls.__new__(cls)._set(module, nums, den)
 
     @property
     def components(self):
@@ -247,8 +229,6 @@ def _clear_denominators(vecs) -> Tuple[List[List[LaurentPoly]], LaurentPoly]:
     vecs = [[_scalar(x) for x in vec] for vec in vecs]
     one = LaurentPoly.one()
     dens = {x.den for vec in vecs for x in vec if isinstance(x, Qv)}
-    if not dens:
-        return vecs, one
     den = one
     for d in dens:
         den = _lcm(den, d)
@@ -276,7 +256,7 @@ def _sparse_step(entries, acc):
 
 def _norm_inf(vec) -> int:
     """The largest coefficient size over the entries of an integral vector."""
-    return max(map(abs, itertools.chain.from_iterable(x._c.values() for x in vec)), default=0)
+    return max((abs(c) for x in vec for c in x._c.values()), default=0)
 
 
 def _gen_norm(gen_cols, dim: int) -> int:
@@ -358,7 +338,6 @@ class OrbitModule:
         self.gen_norm = _gen_norm(self.gen_cols, self.dim)
         self._solvers: Dict[object, list] = {}
         self._solver_lock = threading.Lock()
-        self._last_gens: Tuple[Optional[int], list] = (None, [])
 
     def _packed_op(self, cols, b: int) -> List[tuple]:
         """[(j, r, pack(f, 0, b)) per entry f = op_rj] for the operator with
@@ -370,12 +349,8 @@ class OrbitModule:
         return [(j, r, pack(f, 0, b)) for j, r, f in entries]
 
     def packed_gens(self, b: int) -> List[List[tuple]]:
-        """``_packed_op`` of Phi_s per s: ``_sparse_step(gens[s], x)`` is Phi_s x.
-        The last width's result is kept, as calls on like inputs share b."""
-        got = self._last_gens
-        if got[0] != b:
-            got = self._last_gens = (b, [self._packed_op(cols, b) for cols in self.gen_cols])
-        return got[1]
+        """``_packed_op`` of Phi_s per s: ``_sparse_step(gens[s], x)`` is Phi_s x."""
+        return [self._packed_op(cols, b) for cols in self.gen_cols]
 
     def images(self, vec: List[int], gens) -> List[List[int]]:
         """Phi_z vec for every group element z, on packed ints (gens from
@@ -472,10 +447,7 @@ class OrbitModule:
         return self._solver("twist", self._build_twist)
 
     def _build_twist(self) -> List[list]:
-        """Columns of F = a_w0^2: the projected generators along w0's word, twice."""
-        alg = self.alg
-        word = alg.group.words[alg.group.longest_id] * 2
-        return alg.columns(functools.reduce(alg.mul, map(alg.pi_generator, word), alg.unit()))
+        return self.alg.columns(self.alg.full_twist())
 
     def _build_pairs(self, s: int) -> List[tuple]:
         """Phi_s^2 - 1 in 2x2 blocks: entry i is (j, k, m, piv, det m, beta)
@@ -483,23 +455,23 @@ class OrbitModule:
         (j, k)[b], piv the first nonzero column of m (None for m = 0) and
         beta = m[1][piv] / m[0][piv] when exact, else None.  ValueError when
         Phi_s does not map each span{T_u 1_p, T_su 1_p} to itself."""
-        alg, cols = self.alg, self.gen_cols[s]
+        alg, g, cols = self.alg, self.alg.group, self.gen_cols[s]
         table: List[tuple] = [None] * self.dim  # type: ignore[list-item]
-        for j in range(self.dim):
-            e, p = divmod(j, alg.orbit.size)  # j = alg.flat_index(e, p)
-            pair = (j, alg.flat_index(alg.group.lmul_id(s, e), p))
-            if pair[1] < j:
-                continue
-            phi = [[LaurentPoly.zero()] * 2 for _ in pair]
-            for b, c in enumerate(pair):
-                for r, f in cols[c]:
-                    if r not in pair:
-                        raise ValueError("Phi_s must map each pair {T_u 1_p, T_su 1_p} to itself")
-                    phi[pair.index(r)][b] = f
-            m = [[phi[a][0] * phi[0][b] + phi[a][1] * phi[1][b] - int(a == b) for b in (0, 1)] for a in (0, 1)]
-            piv = next((b for b in (0, 1) if m[0][b] or m[1][b]), None)
-            beta = m[1][piv].divide_exact(m[0][piv]) if piv is not None and m[0][piv] else None
-            table[j] = table[pair[1]] = pair + (m, piv, m[0][0] * m[1][1] - m[0][1] * m[1][0], beta)
+        for e in range(g.size):
+            for p in range(alg.orbit.size):
+                pair = (alg.flat_index(e, p), alg.flat_index(g.lmul_id(s, e), p))
+                if pair[1] < pair[0]:
+                    continue
+                phi = [[LaurentPoly.zero()] * 2 for _ in pair]
+                for b, c in enumerate(pair):
+                    for r, f in cols[c]:
+                        if r not in pair:
+                            raise ValueError("Phi_s must map each pair {T_u 1_p, T_su 1_p} to itself")
+                        phi[pair.index(r)][b] = f
+                m = [[phi[a][0] * phi[0][b] + phi[a][1] * phi[1][b] - int(a == b) for b in (0, 1)] for a in (0, 1)]
+                piv = next((b for b in (0, 1) if m[0][b] or m[1][b]), None)
+                beta = m[1][piv].divide_exact(m[0][piv]) if piv is not None and m[0][piv] else None
+                table[pair[0]] = table[pair[1]] = pair + (m, piv, m[0][0] * m[1][1] - m[0][1] * m[1][0], beta)
         return table
 
     def solve_image(self, s: int, rhs: Dict[int, LaurentPoly], den: LaurentPoly) -> Optional[dict]:
@@ -707,29 +679,31 @@ class KModule:
         One packed sum per block: the k are cleared to one denominator D and
         packed once at their least exponent lo, the ``images`` table of each
         gives Phi_z k, and at each y the T entries at z = y w^-1 are summed
-        as ints, kept packed in the tuple (``KTuple._packed``) until read.
-        Width: an entry has coefficients at most C^l(w0) |k|_inf (C from
-        ``OrbitModule.gen_norm``), so the sum at most B = T C^l(w0) max
-        |k|_inf, T the number of terms nonzero on the block; b fits
-        (1 + C) B, so that ``check_gluing`` reads the packed rows as they are.
+        as ints and unpacked once at lo.  Width: an entry has coefficients at
+        most C^l(w0) |k|_inf (C from ``OrbitModule.gen_norm``), so the sum at
+        most T C^l(w0) max |k|_inf, T the number of terms nonzero on the
+        block.
         """
         g = self.group
+        zero = LaurentPoly.zero()
         winvs = [g.inv_id(w if isinstance(w, int) else g.id_of(w)) for w, _ in terms]
-        zs = [[g.mul_id(y, winv) for winv in winvs] for y in range(g.size)]
         ks, den = _clear_denominators([k for _, k in terms])
-        packed = []
+        comps: List[List[LaurentPoly]] = [[] for _ in range(g.size)]
         for _, blk, parts in self._parts(ks):
-            live = [(i, part) for i, part in enumerate(parts) if any(part)]
+            live = [(winv, part) for winv, part in zip(winvs, parts) if any(part)]
             if not live:
-                packed.append((0, 2, [[0] * blk.dim] * g.size))
+                for comp in comps:
+                    comp.extend([zero] * blk.dim)
                 continue
             norm = max(_norm_inf(part) for _, part in live)
-            b = ((1 + blk.gen_norm) * len(live) * blk.gen_norm ** g.lengths[g.longest_id] * norm).bit_length() + 1
+            b = (len(live) * blk.gen_norm ** g.lengths[g.longest_id] * norm).bit_length() + 1
             gens = blk.packed_gens(b)
             lo = min(x.min_exp for _, part in live for x in part if x)
-            tabs = [(i, blk.images([pack(x, lo, b) for x in part], gens)) for i, part in live]
-            packed.append((lo, b, [list(map(sum, zip(*(tab[z[i]] for i, tab in tabs)))) for z in zs]))
-        return KTuple._of(self, None, den, packed)
+            tabs = [(winv, blk.images([pack(x, lo, b) for x in part], gens)) for winv, part in live]
+            for y, comp in enumerate(comps):
+                acc = map(sum, zip(*(tab[g.mul_id(y, winv)] for winv, tab in tabs)))
+                comp.extend(unpack(a, lo, b) if a else zero for a in acc)
+        return KTuple._of(self, comps, den)
 
     def make_free(self, w, k: Sequence) -> KTuple:
         """The free tuple F(w, k), with components Phi_{y w^-1} k."""
@@ -763,26 +737,20 @@ class KModule:
 
         Works on the numerators of t; witnesses are divided back by D.  The
         right-hand side t_sw - Phi_s t_w is formed on packed ints, block by
-        block: t's numerators are packed once at their least exponent lo
-        (a tuple from ``free_sum`` comes packed), and Phi_s t_w is one
-        ``_sparse_step``.  Its coefficients are at most (1 + C) max_w
-        |t_w|_inf (C from ``OrbitModule.gen_norm``), which sets the width, so
-        it is zero exactly when its ints are; only its nonzero entries are
-        unpacked, for ``OrbitModule.solve_image`` on the blocks where it is
-        nonzero.
+        block: t's numerators are packed once at their least exponent lo,
+        and Phi_s t_w is one ``_sparse_step``.  Its coefficients are
+        at most (1 + C) max_w |t_w|_inf (C from ``OrbitModule.gen_norm``),
+        which sets the width, so it is zero exactly when its ints are; only
+        its nonzero entries are unpacked, for ``OrbitModule.solve_image`` on
+        the blocks where it is nonzero.
         """
         g = self.group
-        packed = t._packed
-        if packed is None:
-            packed = []
-            for _, blk, parts in self._parts(t._c):
-                b = ((1 + blk.gen_norm) * max(map(_norm_inf, parts))).bit_length() + 1
-                lo = min((min(x._c) for part in parts for x in part if x), default=0)
-                packed.append((lo, b, [[pack(x, lo, b) for x in part] for part in parts]))
-        blocks = [
-            (start, blk, blk.packed_gens(b), b, lo, tab)
-            for (start, blk, _), (lo, b, tab) in zip(self._parts([]), packed)
-        ]
+        blocks = []
+        for start, blk, parts in self._parts(t._c):
+            b = ((1 + blk.gen_norm) * max(map(_norm_inf, parts))).bit_length() + 1
+            lo = min((x.min_exp for part in parts for x in part if x), default=0)
+            packed = [[pack(x, lo, b) for x in part] for part in parts]
+            blocks.append((start, blk, blk.packed_gens(b), b, lo, packed))
         out = []
         for s in range(g.rank):
             for w in range(g.size):
@@ -936,7 +904,6 @@ class KModule:
                 lo = min(x.min_exp for part in parts for x in part if x)
                 packed = [[pack(x, lo, b) for x in part] for part in parts]
                 blocks.append((blk, blk.packed_gens(b), b, packed))
-        failures = ("Phi_s^2 does not fix a0", "proof step fails", "a0 is not free-compatible")
         for s in range(g.rank):
             for w in range(g.size):
                 sw = g.lmul_id(s, w)
@@ -948,9 +915,21 @@ class KModule:
                     d = list(map(operator.sub, packed[sw], sx))
                     step &= blk.apply_packed(gens, (s, s), d) == [a << 4 * b for a in d]
                     free &= not any(d)
-                for ok, what in zip((fixed, step, free), failures):
-                    if not ok:
-                        raise IdentityFailure("%s at s=%d, w=%s" % (what, s + 1, g.elements[w].word_str))
+                if not fixed:
+                    raise IdentityFailure(
+                        "Phi_s^2 does not fix a0 at s=%d, w=%s"
+                        % (s + 1, g.elements[w].word_str)
+                    )
+                if not step:
+                    raise IdentityFailure(
+                        "proof step fails at s=%d, w=%s"
+                        % (s + 1, g.elements[w].word_str)
+                    )
+                if not free:
+                    raise IdentityFailure(
+                        "a0 is not free-compatible at s=%d, w=%s"
+                        % (s + 1, g.elements[w].word_str)
+                    )
         cert["free"] = "pass"
         for w in range(g.size):
             res = self._twist_residual(ptilde, a1c[w])

@@ -131,37 +131,31 @@ class OrbitAlgebra:
     def mul(self, a: OrbitHeckeElement, b: OrbitHeckeElement) -> OrbitHeckeElement:
         if a.algebra is not self or b.algebra is not self:
             raise OrbitMismatch("operands belong to another orbit algebra")
-        return OrbitHeckeElement(self, self._left_mul(a)(b._t))
-
-    def _left_mul(self, a: OrbitHeckeElement):
-        """terms -> the terms of a times the element with those terms."""
         g = self.group
-        # group a by its idempotent once, so 1_L 1_{uM} filters cheaply
+        # group the left factor by its idempotent so 1_L 1_{uM} filters cheaply
         by_point: Dict[int, List[Tuple[int, LaurentPoly]]] = {}
         for (eid, pidx), c in a._t.items():
             by_point.setdefault(pidx, []).append((eid, c))
-
-        def times(terms) -> Dict[Tuple[int, int], LaurentPoly]:
-            # within the column of 1_m the point index stays fixed
-            acc: Dict[Tuple[int, int], LaurentPoly] = {}
-            for (u, m), cb in terms.items():
-                rules = self._rules[m]
-                for eid, ca in by_point.get(self._moved[u][m], ()):
-                    cur = {u: cb}
-                    for s in reversed(g.words[eid]):
-                        cur = lmul_gen(g, s, cur, rules[s])
-                    for k, p in cur.items():
-                        acc[(k, m)] = acc.get((k, m), LaurentPoly.zero()) + ca * p
-            return acc
-
-        return times
+        # within the column of 1_m the point index stays fixed
+        acc: Dict[Tuple[int, int], LaurentPoly] = {}
+        for (u, m), cb in b._t.items():
+            rules = self._rules[m]
+            for eid, ca in by_point.get(self._moved[u][m], ()):
+                cur = {u: cb}
+                for s in reversed(g.words[eid]):
+                    cur = lmul_gen(g, s, cur, rules[s])
+                for k, p in cur.items():
+                    acc[(k, m)] = acc.get((k, m), LaurentPoly.zero()) + ca * p
+        return OrbitHeckeElement(self, acc)
 
     def columns(self, el: OrbitHeckeElement) -> List[List[Tuple[int, LaurentPoly]]]:
         """Sparse columns of left multiplication by el: column flat_index(eid,
         pidx) lists (flat row, coeff) of el T_eid 1_pidx in ascending row."""
-        times = self._left_mul(el)
         return [
-            [(self.flat_index(e, p), c) for (e, p), c in sorted(times({(eid, pidx): _ONE}).items()) if c]
+            [
+                (self.flat_index(e, p), c)
+                for (e, p), c in sorted(self.mul(el, self.basis(eid, pidx))._t.items())
+            ]
             for eid in range(self.group.size)
             for pidx in range(self.orbit.size)
         ]
@@ -173,6 +167,14 @@ class OrbitAlgebra:
         for p in range(self.orbit.size):
             terms[(gid, p)] = _ONE if self._in_wl[s][p] else -_ONE
         return OrbitHeckeElement(self, terms)
+
+    def full_twist(self) -> OrbitHeckeElement:
+        """Projection of F = a_w0^2: the generators along w0's word, twice,
+        multiplied in from the right end as in ``KLAlgebra.element``."""
+        out = self.unit()
+        for s in reversed(self.group.words[self.group.longest_id] * 2):
+            out = self.mul(self.pi_generator(s), out)
+        return out
 
     def flat_index(self, eid: int, pidx: int) -> int:
         return eid * self.orbit.size + pidx
@@ -267,9 +269,10 @@ class KLAlgebra:
         return KLElement(self, (s,), self._gens[s])
 
     def element(self, word: Iterable[int]) -> KLElement:
+        # right to left: mul expands its left factor along each term's word
         out = self.unit()
-        for s in word:
-            out = self.mul(out, self.generator(s))
+        for s in reversed(tuple(word)):
+            out = self.mul(self.generator(s), out)
         return out
 
     def element_of(self, w) -> KLElement:
@@ -288,7 +291,7 @@ class KLAlgebra:
 
     def full_twist(self) -> KLElement:
         word = self.group.words[self.group.longest_id]
-        return self.element(word + word)
+        return KLElement(self, word + word, (alg.full_twist() for alg in self.algebras))
 
     # -- verification suites -------------------------------------------------
 

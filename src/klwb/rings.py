@@ -341,24 +341,21 @@ def pack(p: LaurentPoly, lo: int, b: int) -> int:
 
     ``unpack`` inverts it when every coefficient is below 2^(b-1) in size.
     """
-    n = 0
-    for e, x in p._c.items():
-        n += x << b * (e - lo)
-    return n
+    return sum(x << b * (e - lo) for e, x in p._c.items())
 
 
 def unpack(n: int, lo: int, b: int) -> LaurentPoly:
-    """Inverse of ``pack``: read n in base 2^b with signed digits (b >= 2 unless n = 0).
-    Adding 2^(b-1) to every slot makes each digit nonnegative, so no carries."""
+    """Inverse of ``pack``: read n in base 2^b with signed digits (b >= 2 unless n = 0)."""
     if n and b < 2:
         raise ValueError("unpack needs a width of at least 2 bits, got %d" % b)
     c: dict[int, int] = {}
     mask, half, e = (1 << b) - 1, 1 << (b - 1), lo
-    slots = (n.bit_length() + b) // b + 1
-    n += half * ((1 << b * slots) - 1) // mask
     while n:
-        d = (n & mask) - half
+        d = n & mask
         n >>= b
+        if d >= half:
+            d -= mask + 1
+            n += 1
         if d:
             c[e] = d
         e += 1
