@@ -36,24 +36,27 @@ for v^B times the polynomial whose signed base-2^b digits are n's, that is
 n = (v^-B p)(2^b).  v -> 2^b is a ring homomorphism, so sums, products and
 shifts of ints compute those of the polynomials whatever the carries; it is
 injective on polynomials whose coefficients are below 2^(b-1) in size, so
-only the values that are compared or unpacked must fit, and each kernel
-proves a bound on them and sets b = bound.bit_length() + 1, per block.
-The entries of every Phi_s and of F lie in Z[v] (a_s = +-T_s with
-(T_s - 1)(T_s + v^2) = 0), so they are packed at exponent 0
-(``OrbitModule._packed_op``, which rejects an operator with an entry
-outside Z[v]) and an operator step keeps the base: every packed value in
-a kernel sits at the base of the kernel's input, and sums are plain int
-sums.  ``OrbitModule.images`` is the one image kernel.  ``free_sum`` sums
-the tables of all its terms as ints and unpacks each entry once
-(``make_free`` is its one-term case, and ``random_free_combination`` calls
-it on its draws); the free-span echelon unpacks the tables of the basis
-vectors.  ``check_gluing`` forms each right-hand side t_sw - Phi_s t_w
-with one generator step on t packed once and unpacks only its nonzero
-entries for the solver, while ``canonical_identity`` and the Phi_s^2 and
-proof-step checks of ``polyconj_split`` stay packed to the verdict and
-unpack only a failure witness.  ``apply_twist_poly``, the splitting's
-kernel, runs Horner on packed ints the same way
-(``OrbitModule.twist_packed``); the splitting's annihilation check and the
+only the values that are compared or unpacked must fit.  The entries of
+every Phi_s and of F lie in Z[v] (a_s = +-T_s with (T_s - 1)(T_s + v^2) =
+0), so they are packed at exponent 0 (``OrbitModule._packed_op``, which
+rejects an operator with an entry outside Z[v]) and an operator step keeps
+the base: every packed value in a kernel sits at the base of the kernel's
+input, and sums are plain int sums.  Each generator kernel names the
+generator steps of every term it sums, and ``OrbitModule.pack(parts,
+steps)``, the one width proof, packs its vectors and generators at the
+width those counts prove, per block.  ``OrbitModule.images`` is the one
+image kernel.  ``free_sum`` sums the
+tables of all its terms as ints and unpacks each entry once (``make_free``
+is its one-term case, and ``random_free_combination`` calls it on its
+draws); the free-span echelon unpacks the tables of the basis vectors
+(``unpacked_images``).  ``check_gluing`` forms each right-hand side t_sw -
+Phi_s t_w with one generator step on t packed once and unpacks only its
+nonzero entries for the solver, while ``canonical_identity`` and the
+Phi_s^2 and proof-step checks of ``polyconj_split`` stay packed to the
+verdict and unpack only a failure witness.  ``apply_twist_poly``, the
+splitting's kernel, runs Horner on packed ints the same way
+(``OrbitModule.twist_packed``), with its own per-row bound, since its terms
+carry different scalars c_k; the splitting's annihilation check and the
 precondition of ``euclid_descent`` decide on the packed result and unpack
 only a nonzero one.
 """
@@ -254,11 +257,6 @@ def _sparse_step(entries, acc):
     return out
 
 
-def _norm_inf(vec) -> int:
-    """The largest coefficient size over the entries of an integral vector."""
-    return max((abs(c) for x in vec for c in x._c.values()), default=0)
-
-
 def _gen_norm(gen_cols, dim: int) -> int:
     """C, the largest sum_j |(Phi_s)_rj|_1 over s and rows r, for the
     columns ``gen_cols[s][j]`` of Phi_s: a generator step multiplies the
@@ -328,8 +326,9 @@ class OrbitModule:
     builders share one cache and one lock (``_solver``), each run on first
     use and once per block even across threads: the pair table of
     Phi_s^2 - 1 per s (``solve_image``), ``twist_cols`` and the free-span
-    echelon (``solve_free``).  ``images``, ``apply_packed`` and
-    ``twist_packed`` work on Kronecker-packed ints (module docstring)."""
+    echelon (``solve_free``).  ``pack`` proves the Kronecker width of every
+    generator kernel; ``images``, ``apply_packed`` and ``twist_packed`` work
+    on the packed ints (module docstring)."""
 
     def __init__(self, alg):
         self.alg = alg
@@ -348,13 +347,30 @@ class OrbitModule:
             raise ValueError("operator entries must lie in Z[v]")
         return [(j, r, pack(f, 0, b)) for j, r, f in entries]
 
-    def packed_gens(self, b: int) -> List[List[tuple]]:
-        """``_packed_op`` of Phi_s per s: ``_sparse_step(gens[s], x)`` is Phi_s x."""
-        return [self._packed_op(cols, b) for cols in self.gen_cols]
+    def pack(self, parts, steps: Sequence[int]) -> Tuple[List[List[tuple]], List[List[int]], int, int]:
+        """(gens, packed, lo, b) for a kernel that sums terms, each a vector of
+        parts (integral block vectors) under k generator steps, one k in
+        steps per term: packed[i][r] = pack(parts[i][r], lo, b) at lo, the
+        least exponent of parts (0 when all are zero), and gens[s] is Phi_s
+        packed at width b (``_packed_op``), so ``_sparse_step(gens[s], x)``
+        is Phi_s x at x's base.
+
+        A generator step multiplies the largest coefficient of an integral
+        vector by at most C (``gen_norm``), so the kernel's sum has
+        coefficients at most bound = sum_{k in steps} C^k max_x |x|_inf, and
+        b = bound.bit_length() + 1 keeps a sign bit.  v -> 2^b is a ring
+        homomorphism, injective on polynomials with coefficients below
+        2^(b-1) in size, so the sum is zero exactly when its int is, and
+        ``unpack(n, lo, b)`` reads it back."""
+        norm = max((abs(c) for part in parts for x in part for c in x._c.values()), default=0)
+        b = (sum(self.gen_norm ** k for k in steps) * norm).bit_length() + 1
+        lo = min((x.min_exp for part in parts for x in part if x), default=0)
+        gens = [self._packed_op(cols, b) for cols in self.gen_cols]
+        return gens, [[pack(x, lo, b) for x in part] for part in parts], lo, b
 
     def images(self, vec: List[int], gens) -> List[List[int]]:
         """Phi_z vec for every group element z, on packed ints (gens from
-        ``packed_gens``), one ``_sparse_step`` each: in length order, any left
+        ``pack``), one ``_sparse_step`` each: in length order, any left
         descent s of z gives the length-additive z = s * (s z), so the image
         at z is Phi_s of one already computed."""
         g = self.alg.group
@@ -376,19 +392,10 @@ class OrbitModule:
         return vec
 
     def unpacked_images(self, vecs) -> List[List[List[LaurentPoly]]]:
-        """The ``images`` table of each integral block vector in vecs,
-        unpacked.  Phi_z x has coefficients at most C^l(z) |x|_inf <=
-        C^l(w0) |x|_inf (C from ``gen_norm``), which sets one width b."""
+        """The ``images`` table of each integral block vector in vecs, unpacked."""
         g = self.alg.group
-        bound = self.gen_norm ** g.lengths[g.longest_id] * max(map(_norm_inf, vecs))
-        b = bound.bit_length() + 1
-        gens = self.packed_gens(b)
-        out = []
-        for x in vecs:
-            lo = min((a.min_exp for a in x if a), default=0)
-            tab = self.images([pack(a, lo, b) for a in x], gens)
-            out.append([[unpack(a, lo, b) for a in img] for img in tab])
-        return out
+        gens, packed, lo, b = self.pack(vecs, [g.lengths[g.longest_id]])
+        return [[[unpack(a, lo, b) for a in img] for img in self.images(x, gens)] for x in packed]
 
     def twist_poly(self, bp: BivarPoly, num: List[LaurentPoly]) -> List[LaurentPoly]:
         """bp(F) num for an integral vector num, unpacked from ``twist_packed``."""
@@ -677,12 +684,10 @@ class KModule:
         tuple with components Phi_{y w^-1} k.
 
         One packed sum per block: the k are cleared to one denominator D and
-        packed once at their least exponent lo, the ``images`` table of each
-        gives Phi_z k, and at each y the T entries at z = y w^-1 are summed
-        as ints and unpacked once at lo.  Width: an entry has coefficients at
-        most C^l(w0) |k|_inf (C from ``OrbitModule.gen_norm``), so the sum at
-        most T C^l(w0) max |k|_inf, T the number of terms nonzero on the
-        block.
+        packed once (``OrbitModule.pack``; each of the T terms nonzero on the
+        block takes l(w0) steps at most), the ``images`` table of each gives
+        Phi_z k, and at each y the T entries at z = y w^-1 are summed as ints
+        and unpacked once.
         """
         g = self.group
         zero = LaurentPoly.zero()
@@ -695,11 +700,8 @@ class KModule:
                 for comp in comps:
                     comp.extend([zero] * blk.dim)
                 continue
-            norm = max(_norm_inf(part) for _, part in live)
-            b = (len(live) * blk.gen_norm ** g.lengths[g.longest_id] * norm).bit_length() + 1
-            gens = blk.packed_gens(b)
-            lo = min(x.min_exp for _, part in live for x in part if x)
-            tabs = [(winv, blk.images([pack(x, lo, b) for x in part], gens)) for winv, part in live]
+            gens, packed, lo, b = blk.pack([part for _, part in live], [g.lengths[g.longest_id]] * len(live))
+            tabs = [(winv, blk.images(x, gens)) for (winv, _), x in zip(live, packed)]
             for y, comp in enumerate(comps):
                 acc = map(sum, zip(*(tab[g.mul_id(y, winv)] for winv, tab in tabs)))
                 comp.extend(unpack(a, lo, b) if a else zero for a in acc)
@@ -737,26 +739,19 @@ class KModule:
 
         Works on the numerators of t; witnesses are divided back by D.  The
         right-hand side t_sw - Phi_s t_w is formed on packed ints, block by
-        block: t's numerators are packed once at their least exponent lo,
-        and Phi_s t_w is one ``_sparse_step``.  Its coefficients are
-        at most (1 + C) max_w |t_w|_inf (C from ``OrbitModule.gen_norm``),
-        which sets the width, so it is zero exactly when its ints are; only
-        its nonzero entries are unpacked, for ``OrbitModule.solve_image`` on
-        the blocks where it is nonzero.
+        block: t's numerators are packed once (``OrbitModule.pack``, terms of
+        0 and 1 steps) and Phi_s t_w is one ``_sparse_step``.  Only its
+        nonzero entries are unpacked, for ``OrbitModule.solve_image`` on the
+        blocks where it is nonzero.
         """
         g = self.group
-        blocks = []
-        for start, blk, parts in self._parts(t._c):
-            b = ((1 + blk.gen_norm) * max(map(_norm_inf, parts))).bit_length() + 1
-            lo = min((x.min_exp for part in parts for x in part if x), default=0)
-            packed = [[pack(x, lo, b) for x in part] for part in parts]
-            blocks.append((start, blk, blk.packed_gens(b), b, lo, packed))
+        blocks = [(start, blk, *blk.pack(parts, [0, 1])) for start, blk, parts in self._parts(t._c)]
         out = []
         for s in range(g.rank):
             for w in range(g.size):
                 sw = g.lmul_id(s, w)
                 rhs = []  # (start, block, its nonzero entries) where nonzero
-                for start, blk, gens, b, lo, tp in blocks:
+                for start, blk, gens, tp, lo, b in blocks:
                     d = map(operator.sub, tp[sw], _sparse_step(gens[s], tp[w]))
                     part = {i: unpack(a, lo, b) for i, a in enumerate(d) if a}
                     if part:
@@ -769,9 +764,6 @@ class KModule:
                 x = {start + i: y for start, got in sols for i, y in got.items()} if ok else None
                 out.append(_greport(g, s, w, ok, witness=None if x is None else _render_vec(x)))
         return out
-
-    def gluing_ok(self, t: KTuple) -> bool:
-        return all(r["status"] == "pass" for r in self.check_gluing(t))
 
     # -- iota and the canonical complex ---------------------------------------------
 
@@ -800,17 +792,12 @@ class KModule:
         lhs - rhs is a signed sum of T + 2 terms Phi_z Phi_x k, T the number
         of (J, coset representative x) pairs.  Checked over Z[v, v^-1] on
         D k, D the common denominator of k, and on Kronecker-packed ints,
-        block by block: k is packed at its least exponent lo_k, the image
-        tables of ``OrbitModule.images`` give Phi_z Phi_x k, Phi_w0 is
-        applied to Phi_{w0 y} k with the same step, and the terms are summed
-        as ints.  Width: every term has l(z) + l(x) <= 2 l(w0) generator
-        steps, each multiplying the largest coefficient by at most C
-        (``OrbitModule.gen_norm``), so lhs - rhs has coefficients at most
-        bound = (T + 2) C^(2 l(w0)) |D k|_inf on the block, and b =
-        bound.bit_length() + 1 fits them in a signed slot.  v -> 2^b is a
-        ring homomorphism, injective on such polynomials, so lhs - rhs is
-        zero exactly when its int is.  Only a failing y is unpacked: its
-        witness is lhs - rhs divided back by D.
+        block by block: k is packed once (``OrbitModule.pack``; each of the
+        T + 2 terms takes l(z) + l(x) <= 2 l(w0) steps), the image tables of
+        ``OrbitModule.images`` give Phi_z Phi_x k, Phi_w0 is applied to
+        Phi_{w0 y} k with the same step, and the terms are summed as ints.
+        Only a failing y is unpacked: its witness is lhs - rhs divided back
+        by D.
         """
         g = self.group
         n = g.rank
@@ -830,11 +817,8 @@ class KModule:
         for start, blk, (part,) in self._parts([k]):
             if not any(part):
                 continue
-            bound = (len(terms) + 2) * blk.gen_norm ** (2 * g.lengths[w0]) * _norm_inf(part)
-            b = bound.bit_length() + 1
-            gens = blk.packed_gens(b)
-            lo_k = min(x.min_exp for x in part if x)
-            tab_k = blk.images([pack(x, lo_k, b) for x in part], gens)
+            gens, (packed,), lo_k, b = blk.pack([part], [2 * g.lengths[w0]] * (len(terms) + 2))
+            tab_k = blk.images(packed, gens)
             tabs = {x: blk.images(tab_k[x], gens) for x in {x for _, x in terms}}
             for y in range(g.size):
                 summands = [(sign, tabs[x][z]) for sign, x, z in left[y]]
@@ -889,26 +873,17 @@ class KModule:
             if got != [x * pv for x in comp[w]]:
                 raise IdentityFailure("a0 + a1 differs from p(v) a")
         cert["sum"] = "pass"
-        # (ii) and (iii) on packed ints, block by block: a0 at its least
-        # exponent, d = a0_sw - Phi_s a0_w, and (Phi_s^2 - 1) d = (v^4 - 1) d
-        # checked as Phi_s^2 d = v^4 d, v^4 d being d shifted by 4 slots.
-        # With C from gen_norm and A = |a0|_inf on the block, Phi_s^2 a0_w -
-        # a0_w, d and Phi_s^2 d - v^4 d have coefficients at most
-        # (C^2 + 1)(C + 1) A.
-        blocks = []
-        for _, blk, parts in self._parts(a0c):
-            norm = max(map(_norm_inf, parts))
-            if norm:
-                c = blk.gen_norm
-                b = ((c * c + 1) * (c + 1) * norm).bit_length() + 1
-                lo = min(x.min_exp for part in parts for x in part if x)
-                packed = [[pack(x, lo, b) for x in part] for part in parts]
-                blocks.append((blk, blk.packed_gens(b), b, packed))
+        # (ii) and (iii) on packed ints, block by block: d = a0_sw - Phi_s a0_w,
+        # and (Phi_s^2 - 1) d = (v^4 - 1) d checked as Phi_s^2 d = v^4 d, v^4 d
+        # being d shifted by 4 slots.  Phi_s^2 d - v^4 d sums terms of a0
+        # under 0 to 3 generator steps; those of Phi_s^2 a0_w - a0_w and d are
+        # among them.
+        blocks = [(blk, *blk.pack(parts, [0, 1, 2, 3])) for _, blk, parts in self._parts(a0c)]
         for s in range(g.rank):
             for w in range(g.size):
                 sw = g.lmul_id(s, w)
                 fixed = step = free = True
-                for blk, gens, b, packed in blocks:
+                for blk, gens, packed, _, b in blocks:
                     x = packed[w]
                     sx = blk.apply_packed(gens, (s,), x)
                     fixed &= blk.apply_packed(gens, (s,), sx) == x

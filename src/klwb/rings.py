@@ -958,8 +958,3 @@ def _localized_reduce(num: LaurentPoly,
                 changed = True
                 break
     return num, den
-
-
-def localized_reduce(x: LocalizedScalar) -> LocalizedScalar:
-    """Reduced form of x (construction already reduces; this is idempotent)."""
-    return LocalizedScalar(x.num, x.den)

@@ -19,7 +19,6 @@ from klwb.rings import (
     divides_p_power,
     divmod_x,
     gcd_laurent,
-    localized_reduce,
     p_poly,
     pack,
     split_at_one,
@@ -212,7 +211,7 @@ def test_specialize_odd_exponents():
     assert val.nonzero
 
 
-# -- localized_reduce -------------------------------------------------------
+# -- LocalizedScalar reduction ----------------------------------------------
 
 def test_localized_exact_cancellation():
     x = LocalizedScalar(binom(1) * binom(1), {1: 1})
@@ -476,7 +475,6 @@ def test_localized_reduction_idempotent(a, factors, den):
     for f in factors:
         num = num * f
     x = LocalizedScalar(num, den)
-    assert localized_reduce(x) == x
     assert LocalizedScalar(x.num, x.den) == x
 
 
