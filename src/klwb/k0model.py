@@ -53,12 +53,15 @@ draws); the free-span echelon unpacks the tables of the basis vectors
 Phi_s t_w with one generator step on t packed once and unpacks only its
 nonzero entries for the solver, while ``canonical_identity`` and the
 Phi_s^2 and proof-step checks of ``polyconj_split`` stay packed to the
-verdict and unpack only a failure witness.  ``apply_twist_poly``, the
-splitting's kernel, runs Horner on packed ints the same way
-(``OrbitModule.twist_packed``), with its own per-row bound, since its terms
-carry different scalars c_k; the splitting's annihilation check and the
-precondition of ``euclid_descent`` decide on the packed result and unpack
-only a nonzero one.
+verdict and unpack only a failure witness.  ``canonical_identity`` first
+sums the signs of its terms per coset representative x
+(``canonical_multiplicities``), so it tables images and proves its width
+for the x with a nonzero sum only, e and w0, not for all T (J, x) terms.
+``apply_twist_poly``, the splitting's kernel, runs Horner on packed ints
+the same way (``OrbitModule.twist_packed``), with its own per-row bound,
+since its terms carry different scalars c_k; the splitting's annihilation
+check and the precondition of ``euclid_descent`` decide on the packed
+result and unpack only a nonzero one.
 """
 
 from __future__ import annotations
@@ -109,6 +112,25 @@ def resolve_m(m, W) -> int:
     if isinstance(m, int) and m >= 1:
         return m
     raise ValueError("m must be 'paper', 'safe', or a positive integer")
+
+
+def canonical_multiplicities(W) -> Dict[int, int]:
+    """{x: mu(x)} over the ids x with mu(x) != 0, mu(x) the sum of
+    (-1)^(|J|+1) over the nonempty J whose complement K has x among its
+    minimal coset representatives (``min_coset_reps(K)``): the summed sign
+    of x's terms in the Euler identity of ``KModule.canonical_identity``.
+
+    x is such a representative exactly when its left descent set D(x)
+    misses K, so mu(x) sums over J containing D(x) and vanishes unless D(x)
+    is empty or all of S: mu = {e: 1, w0: (-1)^(n+1)}."""
+    n = W.rank
+    mu: Dict[int, int] = {}
+    for bits in range(1, 1 << n):
+        sign = 1 if bin(bits).count("1") % 2 else -1
+        for x in W.min_coset_reps([i for i in range(n) if not bits >> i & 1]):
+            eid = W.id_of(x)
+            mu[eid] = mu.get(eid, 0) + sign
+    return {x: m for x, m in mu.items() if m}
 
 
 class KTuple:
@@ -272,10 +294,14 @@ def _gen_norm(gen_cols, dim: int) -> int:
 
 
 def _packed_sum(terms) -> List[int]:
-    """The sum of sign * vec over terms (sign, vec) of packed vectors."""
+    """The sum of c * vec over terms (c, vec) of packed vectors, c an int;
+    c = +-1, the common case, adds or subtracts without a product."""
     acc = [0] * len(terms[0][1])
-    for sign, vec in terms:
-        acc = list(map(operator.add if sign > 0 else operator.sub, acc, vec))
+    for c, vec in terms:
+        if c in (1, -1):
+            acc = list(map(operator.add if c > 0 else operator.sub, acc, vec))
+        else:
+            acc = [a + c * x for a, x in zip(acc, vec)]
     return acc
 
 
@@ -788,14 +814,20 @@ class KModule:
         """Euler identity of the canonical complex on the free tuple at e.
 
         For every y, the alternating sum over nonempty J of the restricted
-        free components equals Phi_y k plus (-1)^(n-1) Phi_w0 Phi_{w0 y} k:
-        lhs - rhs is a signed sum of T + 2 terms Phi_z Phi_x k, T the number
-        of (J, coset representative x) pairs.  Checked over Z[v, v^-1] on
-        D k, D the common denominator of k, and on Kronecker-packed ints,
-        block by block: k is packed once (``OrbitModule.pack``; each of the
-        T + 2 terms takes l(z) + l(x) <= 2 l(w0) steps), the image tables of
-        ``OrbitModule.images`` give Phi_z Phi_x k, Phi_w0 is applied to
-        Phi_{w0 y} k with the same step, and the terms are summed as ints.
+        free components Phi_{y x^-1} Phi_x k, x running over the minimal
+        representatives of the cosets W_K x, K the complement of J, equals
+        Phi_y k plus (-1)^(n-1) Phi_w0 Phi_{w0 y} k.  A term depends on x
+        only, so the left side is sum mu(x) Phi_{y x^-1} Phi_x k with mu from
+        ``canonical_multiplicities``: mu(e) = 1 and mu(w0) = (-1)^(n-1), so
+        the identity says Phi_{y w0} Phi_w0 k = Phi_w0 Phi_{w0 y} k.
+
+        Checked over Z[v, v^-1] on D k, D the common denominator of k, and
+        on Kronecker-packed ints, block by block: k is packed once
+        (``OrbitModule.pack``; the sum has sum |mu(x)| + 2 terms, counted
+        with multiplicity, of at most 2 l(w0) steps each),
+        ``OrbitModule.images`` tables Phi_z Phi_x k for each x with
+        mu(x) != 0, Phi_w0 is applied to Phi_{w0 y} k along the word of w0,
+        and the terms are summed as ints.
         Only a failing y is unpacked: its witness is lhs - rhs divided back
         by D.
         """
@@ -803,25 +835,22 @@ class KModule:
         n = g.rank
         w0 = g.longest_id
         (k,), den = _clear_denominators([k])
-        terms: List[Tuple[int, int]] = []  # (sign, rep id) per (J, representative)
-        for bits in range(1, 1 << n):
-            jset = [i for i in range(n) if bits >> i & 1]
-            kset = [i for i in range(n) if i not in jset]
-            sign = -1 if len(jset) % 2 == 0 else 1
-            terms.extend((sign, g.id_of(x)) for x in g.min_coset_reps(kset))
-        # per y, the left side's terms (sign, x, z) for Phi_z Phi_x k
-        left = [[(sign, x, g.mul_id(y, g.inv_id(x))) for sign, x in terms] for y in range(g.size)]
+        mu = canonical_multiplicities(g)
+        e = g.id_of(g.identity)
+        # per y, the left side's terms (mu(x), x, z) for Phi_z Phi_x k
+        left = [[(m, x, g.mul_id(y, g.inv_id(x))) for x, m in mu.items()] for y in range(g.size)]
         w0y = [g.mul_id(w0, y) for y in range(g.size)]
         top_sign = 1 if (n - 1) % 2 == 0 else -1
+        steps = [2 * g.lengths[w0]] * (sum(map(abs, mu.values())) + 2)
         bad: Dict[int, List[LaurentPoly]] = {}  # y -> lhs - rhs, for failing y
         for start, blk, (part,) in self._parts([k]):
             if not any(part):
                 continue
-            gens, (packed,), lo_k, b = blk.pack([part], [2 * g.lengths[w0]] * (len(terms) + 2))
+            gens, (packed,), lo_k, b = blk.pack([part], steps)
             tab_k = blk.images(packed, gens)
-            tabs = {x: blk.images(tab_k[x], gens) for x in {x for _, x in terms}}
+            tabs = {x: tab_k if x == e else blk.images(tab_k[x], gens) for x in mu}
             for y in range(g.size):
-                summands = [(sign, tabs[x][z]) for sign, x, z in left[y]]
+                summands = [(m, tabs[x][z]) for m, x, z in left[y]]
                 summands.append((-1, tab_k[y]))
                 phi = blk.apply_packed(gens, g.words[w0], tab_k[w0y[y]])
                 summands.append((-top_sign, phi))

@@ -19,7 +19,9 @@ from klwb.k0model import (
     OrbitModule,
     PreconditionFailure,
     _gen_norm,
+    _packed_sum,
     _render_vec,
+    canonical_multiplicities,
     resolve_m,
 )
 from klwb import linalg
@@ -807,6 +809,45 @@ def test_canonical_identity_matches_laurent_reference(t, den, shift, broken):
         assert [r["status"] for r in rep] == ["pass" if w is None else "fail" for w in want]
         verdicts += [r["status"] for r in rep]
     assert ("fail" in verdicts) == broken
+
+
+def test_packed_sum_takes_integer_multiplicities():
+    # c = +-1 adds or subtracts; any other c multiplies
+    vecs = [[5, -(2**70), 0], [3, 1, -2], [2**65, 7, 1]]
+    terms = list(zip((1, -3, 2), vecs))
+    assert _packed_sum(terms) == [sum(c * v[i] for c, v in terms) for i in range(3)]
+    assert _packed_sum([(-1, vecs[0]), (0, vecs[1])]) == [-5, 2**70, 0]
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4"])
+def test_canonical_multiplicities_are_e_and_w0(t):
+    # x is a minimal representative of W_K x exactly when its left descent
+    # set D(x) misses K, so mu(x) = sum of (-1)^(|J|+1) over nonempty J
+    # containing D(x): 1 at D(x) = {}, (-1)^(n+1) at D(x) = S, else 0
+    W = build_weyl(t)
+    want = {W.id_of(W.identity): 1, W.longest_id: (-1) ** (W.rank + 1)}
+    assert canonical_multiplicities(W) == want
+
+
+@pytest.mark.parametrize("t", ["B3", "C3"])
+def test_canonical_identity_beyond_polishchuk(t):
+    # rank three outside type A, where Polishchuk's proof does not reach:
+    # random vectors pass, and v^3 added to one entry of Phi_1 per block
+    # makes the same draws fail at some y.  On a 2-core VM (CPython 3.11)
+    # each type took 0.40-0.54 s, and 3.1-4.0 s when every (J, x) term was
+    # summed; the bound is about 5x the former and below the latter.
+    start = time.perf_counter()
+    M = KModule.for_type(t, 2)
+    draws = [M.random_vector(random.Random(seed)) for seed in range(3)]
+    for k in draws:
+        assert all(r["status"] == "pass" for r in M.canonical_identity(k))
+    for blk in M.blocks:
+        (r, f), *rest = blk.gen_cols[0][0]
+        blk.gen_cols[0][0] = [(r, f + lp({3: 1}))] + rest
+        blk.gen_norm = _gen_norm(blk.gen_cols, blk.dim)
+    verdicts = [r["status"] for k in draws for r in M.canonical_identity(k)]
+    assert "fail" in verdicts
+    assert time.perf_counter() - start < 2.5, t
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
