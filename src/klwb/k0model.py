@@ -20,12 +20,16 @@ over one common denominator D (``_clear_denominators``), and gluing, the
 splitting and ``euclid_descent`` compute on the numerators.
 ``canonical_identity`` clears the denominators of its vector the same way.
 Q(v) appears only where a value leaves: ``KTuple.get``, rendered witnesses
-and ``express_in_free_span``, whose per-block column echelon of the free
-tuples (``OrbitModule._build_free_solver``) stays in Q(v).  Gluing needs
-no elimination: a_s = +-T_s maps each span{T_u 1_p, T_su 1_p} to itself,
-so Phi_s^2 - 1 is a sum of 2x2 blocks, solved pair by pair
-(``OrbitModule.solve_image``).  Each block builds its pair tables, its
-full-twist columns and the free-span echelon once each, on first use.
+and ``express_in_free_span``, whose per-block column echelon stays in
+Q(v).  That echelon needs only the residuals of the free tuples: F(w, e_j)
+less F(e, Phi_{w^-1} e_j) is zero at y = e, so the columns F(e, e_j) are
+independent in closed form and only the residuals are eliminated
+(``OrbitModule._build_free_solver``).  Gluing needs no elimination: a_s =
++-T_s maps each span{T_u 1_p, T_su 1_p} to itself, so Phi_s^2 - 1 is a sum
+of 2x2 blocks, solved pair by pair (``OrbitModule.solve_image``).  Each
+block builds its pair tables, its full-twist columns, the minimal
+polynomial mu_B of F on it and the free-span echelon once each, on first
+use.
 ``apply_generator``, ``apply_fulltwist`` and ``apply_twist_poly`` take
 one route (``KModule._apply_cleared``): they apply the operator over
 Z[v, v^-1] to D vec and divide back by D for Q(v) input, so each returns
@@ -48,8 +52,8 @@ width those counts prove, per block.  ``OrbitModule.images`` is the one
 image kernel.  ``free_sum`` sums the
 tables of all its terms as ints and unpacks each entry once (``make_free``
 is its one-term case, and ``random_free_combination`` calls it on its
-draws); the free-span echelon unpacks the tables of the basis vectors
-(``unpacked_images``).  ``check_gluing`` forms each right-hand side t_sw -
+draws); the free-span echelon forms its residuals from the tables of the
+basis vectors.  ``check_gluing`` forms each right-hand side t_sw -
 Phi_s t_w with one generator step on t packed once and unpacks only its
 nonzero entries for the solver, while ``canonical_identity`` and the
 Phi_s^2 and proof-step checks of ``polyconj_split`` stay packed to the
@@ -57,9 +61,12 @@ verdict and unpack only a failure witness.  ``canonical_identity`` first
 sums the signs of its terms per coset representative x
 (``canonical_multiplicities``), so it tables images and proves its width
 for the x with a nonzero sum only, e and w0, not for all T (J, x) terms.
-``apply_twist_poly``, the splitting's kernel, runs Horner on packed ints
-the same way (``OrbitModule.twist_packed``), with its own per-row bound,
-since its terms carry different scalars c_k; the splitting's annihilation
+``apply_twist_poly``, the splitting's kernel, reduces its polynomial
+modulo mu_B, which is checked to kill F, and runs Horner on packed ints the
+same way (``OrbitModule.twist_packed``), with its own per-row bound, since
+its terms carry different scalars c_k: F's eigenvalues on a block are a few
+distinct v^2i, so Horner runs 1 to 5 steps where the splitting's
+polynomials have degree 2 l(w0) and more.  The splitting's annihilation
 check and the precondition of ``euclid_descent`` decide on the packed
 result and unpack only a nonzero one.
 """
@@ -71,7 +78,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .klalgebra import KLAlgebra
-from .linalg import sparse_operator
+from .linalg import minpoly_operator, qpoly_to_bivar, sparse_operator
 from .rings import (
     BivarPoly,
     LaurentPoly,
@@ -230,14 +237,30 @@ def _lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a * b.divide_exact(gcd_laurent(a, b))
 
 
-def _content(xs: Iterable[LaurentPoly]) -> LaurentPoly:
-    """A gcd of the nonzero polynomials xs (``gcd_laurent``), zero when there
-    are none; a gcd is taken only for an x the running one does not divide."""
+def _content(vecs) -> Tuple[LaurentPoly, List[List[LaurentPoly]]]:
+    """(g, the vecs divided by g): g a gcd of the nonzero entries of vecs
+    (``gcd_laurent``), zero when there are none, and the vecs unchanged then.
+    Each entry is divided once: a gcd is taken only for an entry the running
+    g does not divide, and the quotients taken so far are then multiplied by
+    the old g over the new."""
     g = LaurentPoly.zero()
-    for x in xs:
-        if not g or x.divide_exact(g) is None:
-            g = gcd_laurent(g, x)
-    return g
+    out = [list(vec) for vec in vecs]
+    done: List[Tuple[list, int]] = []
+    for vec in out:
+        for r, x in enumerate(vec):
+            if not x:
+                continue
+            q = x.divide_exact(g) if g else None
+            if q is None:
+                h = gcd_laurent(g, x)
+                if g:
+                    f = g.divide_exact(h)
+                    for u, i in done:
+                        u[i] = u[i] * f
+                g, q = h, x.divide_exact(h)
+            vec[r] = q
+            done.append((vec, r))
+    return g, out
 
 
 def _scaled(vecs, c: LaurentPoly):
@@ -293,6 +316,22 @@ def _gen_norm(gen_cols, dim: int) -> int:
     return best
 
 
+def _horner(packed, bp: BivarPoly, b: int, vp: List[int]) -> Tuple[List[int], int]:
+    """(acc, lo_c): bp(F) x by Horner's rule on packed ints, F packed at width
+    b (``_packed_op``) and vp the packed x.  Each c_k is packed at its own
+    least exponent, so the product is taken with the short int and then
+    shifted to base lo_c, the least exponent over all c_k: acc is packed at
+    base lo_c plus x's base."""
+    lo_c = min(c.min_exp for c in bp.xcoeffs if c)
+    acc = [0] * len(vp)
+    for c in reversed(bp.xcoeffs):
+        acc = _sparse_step(packed, acc)
+        if c:
+            cp, sh = pack(c, c.min_exp, b), b * (c.min_exp - lo_c)
+            acc = [a + (cp * x << sh) for a, x in zip(acc, vp)]
+    return acc, lo_c
+
+
 def _packed_sum(terms) -> List[int]:
     """The sum of c * vec over terms (c, vec) of packed vectors, c an int;
     c = +-1, the common case, adds or subtracts without a product."""
@@ -334,6 +373,19 @@ def _eliminate(u: dict, rows) -> List[tuple]:
     return taken
 
 
+def _stacked_diff(left, right, lo: int, b: int) -> Dict[int, Qv]:
+    """{y dim + r: left[y]_r - right[y]_r} over y != e (id 0), in Q(v), for
+    tables of packed block vectors indexed by element id: the stacked
+    entries where they differ, unpacked at base lo and width b."""
+    n = len(left[0])
+    return {
+        y * n + r: Qv(unpack(x - z, lo, b))
+        for y in range(1, len(left))
+        for r, (x, z) in enumerate(zip(left[y], right[y]))
+        if x != z
+    }
+
+
 def _ratio(num: LaurentPoly, d: LaurentPoly, den: LaurentPoly) -> Qv:
     """num / (d den), a gcd taken only when d does not divide num."""
     q = num.divide_exact(d)
@@ -348,13 +400,15 @@ def _span(x: Qv) -> int:
 class OrbitModule:
     """One summand: an orbit algebra acting on itself, in block coordinates
     (``alg.flat_index``).  ``gen_cols[s][j]`` and ``twist_cols[j]`` list the
-    (row, coeff) of column j of Phi_s and of the full twist F.  Three
-    builders share one cache and one lock (``_solver``), each run on first
+    (row, coeff) of column j of Phi_s and of the full twist F.  The builders
+    share one cache and one reentrant lock (``_solver``), each run on first
     use and once per block even across threads: the pair table of
-    Phi_s^2 - 1 per s (``solve_image``), ``twist_cols`` and the free-span
-    echelon (``solve_free``).  ``pack`` proves the Kronecker width of every
-    generator kernel; ``images``, ``apply_packed`` and ``twist_packed`` work
-    on the packed ints (module docstring)."""
+    Phi_s^2 - 1 per s (``solve_image``), ``twist_cols``, F's minimal
+    polynomial mu_B (``minpoly``), each twist polynomial reduced modulo it
+    (``twist_packed``) and the free-span echelon (``solve_free``).  ``pack``
+    proves the Kronecker width of every generator kernel; ``images``,
+    ``apply_packed`` and ``twist_packed`` work on the packed ints (module
+    docstring)."""
 
     def __init__(self, alg):
         self.alg = alg
@@ -362,7 +416,7 @@ class OrbitModule:
         self.gen_cols = [alg.columns(alg.pi_generator(s)) for s in range(alg.group.rank)]
         self.gen_norm = _gen_norm(self.gen_cols, self.dim)
         self._solvers: Dict[object, list] = {}
-        self._solver_lock = threading.Lock()
+        self._solver_lock = threading.RLock()
 
     def _packed_op(self, cols, b: int) -> List[tuple]:
         """[(j, r, pack(f, 0, b)) per entry f = op_rj] for the operator with
@@ -417,12 +471,6 @@ class OrbitModule:
             vec = _sparse_step(gens[s], vec)
         return vec
 
-    def unpacked_images(self, vecs) -> List[List[List[LaurentPoly]]]:
-        """The ``images`` table of each integral block vector in vecs, unpacked."""
-        g = self.alg.group
-        gens, packed, lo, b = self.pack(vecs, [g.lengths[g.longest_id]])
-        return [[[unpack(a, lo, b) for a in img] for img in self.images(x, gens)] for x in packed]
-
     def twist_poly(self, bp: BivarPoly, num: List[LaurentPoly]) -> List[LaurentPoly]:
         """bp(F) num for an integral vector num, unpacked from ``twist_packed``."""
         acc, base, b = self.twist_packed(bp, num)
@@ -433,42 +481,68 @@ class OrbitModule:
         base and width b.  b fits every result coefficient, so an entry of
         acc is zero exactly when that entry of bp(F) num is.
 
-        Horner's rule on Kronecker-packed integers (``rings.pack``): F is
-        packed once at exponent 0 (``_packed_op``), num at its least
-        exponent lo_v, and each c_k num is shifted to lo_c, the least
-        exponent over all c_k, so every step is int products, shifts and
-        sums at the one base lo_c + lo_v.  As v -> 2^b is a ring
-        homomorphism, only the final coefficients must fit a slot: from
-        bound_r = 0, each step sets bound_r = sum_j |F_rj|_1 bound_j +
-        |c_k|_1 |num_r|_inf over this block's rows, and b =
-        max(bound).bit_length() + 1 keeps a sign bit.
+        bp is first reduced modulo the block's minimal polynomial mu_B
+        (``minpoly``, cached per bp): mu_B(F) = 0 is checked on every basis
+        vector, so bp(F) = (bp mod mu_B)(F), of degree below deg mu_B
+        whatever deg bp is.  Horner's rule runs on Kronecker-packed
+        integers (``_horner``) at the width of ``_packed_twist``'s bound,
+        num packed at its least exponent lo_v.
         """
+        if not bp.is_zero and any(num):
+            bp = self._solver(("mod", bp), lambda: self._build_mod(bp))
         if bp.is_zero or not any(num):
             return [0] * self.dim, 0, 1
+        packed, b = self._packed_twist(bp, [max(map(abs, x._c.values()), default=0) for x in num])
+        lo_v = min(x.min_exp for x in num if x)
+        acc, lo_c = _horner(packed, bp, b, [pack(x, lo_v, b) for x in num])
+        return acc, lo_c + lo_v, b
+
+    def _packed_twist(self, bp: BivarPoly, vnorm: List[int]) -> Tuple[List[tuple], int]:
+        """(F packed at width b (``_packed_op``), b) for bp(F) x over integral
+        x with |x_r|_inf <= vnorm[r].  As v -> 2^b is a ring homomorphism,
+        only the final coefficients of Horner's rule must fit a slot: from
+        bound_r = 0, each step sets bound_r = sum_j |F_rj|_1 bound_j +
+        |c_k|_1 vnorm_r over this block's rows, and b =
+        max(bound).bit_length() + 1 keeps a sign bit."""
         norms = [(j, r, sum(map(abs, f._c.values()))) for j, col in enumerate(self.twist_cols) for r, f in col]
-        vnorm = [max(map(abs, x._c.values()), default=0) for x in num]
         bound = [0] * self.dim
         for c in reversed(bp.xcoeffs):
             c1 = sum(map(abs, c._c.values()))
             bound = [x + c1 * y for x, y in zip(_sparse_step(norms, bound), vnorm)]
         b = max(bound).bit_length() + 1
-        lo_c = min(c.min_exp for c in bp.xcoeffs if c)
-        lo_v = min(x.min_exp for x in num if x)
-        packed = self._packed_op(self.twist_cols, b)
-        vp = [pack(x, lo_v, b) for x in num]
-        acc = [0] * self.dim
-        for c in reversed(bp.xcoeffs):
-            acc = _sparse_step(packed, acc)
-            if c:
-                # c is packed at its own least exponent, so the product is
-                # taken with the short int and then shifted to base lo_c
-                cp, sh = pack(c, c.min_exp, b), b * (c.min_exp - lo_c)
-                acc = [a + (cp * x << sh) for a, x in zip(acc, vp)]
-        return acc, lo_c + lo_v, b
+        return self._packed_op(self.twist_cols, b), b
+
+    @property
+    def minpoly(self) -> BivarPoly:
+        return self._solver("minpoly", self._build_minpoly)
+
+    def _build_minpoly(self) -> BivarPoly:
+        """mu_B, the minimal polynomial of F on this block, as a primitive
+        polynomial in Z[v, v^-1][x] (``qpoly_to_bivar``).  F has entries in
+        Z[v], so its monic minimal polynomial has coefficients in Z[v]
+        (Gauss's lemma) and ``divmod_x`` by it stays in the ring; were the
+        leading coefficient not a unit, ``divmod_x`` would raise
+        NonUnitLeadingCoefficient.  IdentityFailure unless mu_B(F) e_j = 0
+        for every basis vector e_j, decided on packed ints at the width of
+        the norm bound for unit vectors."""
+        n = self.dim
+        mu = qpoly_to_bivar(minpoly_operator(sparse_operator(self.twist_cols, n), n))
+        packed, b = self._packed_twist(mu, [1] * n)
+        for j in range(n):
+            acc, _ = _horner(packed, mu, b, [int(i == j) for i in range(n)])
+            if any(acc):
+                raise IdentityFailure("the minimal polynomial of F does not kill basis vector %d" % j)
+        return mu
+
+    def _build_mod(self, bp: BivarPoly) -> BivarPoly:
+        """bp mod mu_B, the polynomial ``twist_packed`` runs for bp."""
+        return divmod_x(bp, self.minpoly)[1]
 
     def _solver(self, key, build):
-        """build(), cached under key and built once per block even across threads:
-        s for ``_build_pairs(s)``, "twist" and "free" for the other builders."""
+        """build(), cached under key and built once per block even across
+        threads: s for ``_build_pairs(s)``, "twist", "minpoly", ("mod", bp)
+        and "free" for the other builders.  The lock is reentrant, since a
+        builder may read another builder's result."""
         with self._solver_lock:
             got = self._solvers.get(key)
             if got is None:
@@ -534,39 +608,51 @@ class OrbitModule:
         return x
 
     def _build_free_solver(self):
-        """Column echelon over Q(v) of the block's stacked free tuples.
+        """(rows, phi): a column echelon over Q(v) of the residuals of the
+        block's stacked free tuples, and phi[(w, j)] = Phi_{w^-1} e_j for
+        each residual (w, j) that became a row.
 
         Column (w, j) is the free tuple F(w, e_j), y -> Phi_{y w^-1} e_j,
-        stacked with entry (y, r) at index y dim + r.  The columns are
-        reduced in (w, j) order against the rows so far (``_eliminate``); one
-        that does not reduce to zero becomes a row (pivot, rest, pre), scaled
-        to 1 at the pivot: rest holds its other entries and pre the
-        combination {(w, j): c} of columns that equals it, both sparse.  The
-        columns that become rows are the ones Gauss-Jordan in (w, j) order
-        would choose as pivots, so a solution supported on them is the
-        unique one.  Which entry is the pivot is free; the entry of least
-        degree span (``_span``, least index on ties) keeps the Q(v) entries
-        small: the blocks of B2/2 build in 0.29 s, against 0.92 s with the
-        first nonzero entry (2-core VM, CPython 3.11).
+        stacked with entry (y, r) at index y dim + r.  The columns F(e, e_j)
+        come first (e is id 0) and are independent: F(e, k) is k at y = e.
+        For w != e, F(w, e_j) = R(w, j) + F(e, Phi_{w^-1} e_j), where the
+        residual R(w, j)_y = Phi_{y w^-1} e_j - Phi_y Phi_{w^-1} e_j is zero
+        at y = e.  So the span is the direct sum of the F(e, e_j) and the
+        residuals, (w, j) is a pivot of Gauss-Jordan in (w, j) order exactly
+        when R(w, j) is outside the span of the residuals before it, and
+        the rank is dim + len(rows).
+
+        The residuals are formed on packed ints from the ``images`` tables of
+        the unit vectors (terms of l(w0) and 2 l(w0) steps), and only the
+        nonzero ones are reduced in (w, j) order against the rows so far
+        (``_eliminate``).  One that does not reduce to zero becomes a row
+        (pivot, rest, pre), scaled to 1 at the pivot: rest holds its other
+        entries and pre the combination {(w, j): c} of residuals that equals
+        it, both sparse.  Which entry is the pivot is free; the entry of
+        least degree span (``_span``, least index on ties) keeps the Q(v)
+        entries small.
         """
         g = self.alg.group
         n = self.dim
+        assert g.id_of(g.identity) == 0, "the identity must be id 0"
         zero, one = LaurentPoly.zero(), LaurentPoly.one()
-        tabs = self.unpacked_images([[zero] * j + [one] + [zero] * (n - j - 1) for j in range(n)])
-        rows = []
-        for w in range(g.size):
+        top = g.lengths[g.longest_id]
+        units = [[zero] * j + [one] + [zero] * (n - j - 1) for j in range(n)]
+        gens, packed, lo, b = self.pack(units, [top, 2 * top])
+        tabs = [self.images(x, gens) for x in packed]
+        rows, phi = [], {}
+        for w in range(1, g.size):
             winv = g.inv_id(w)
+            zs = [g.mul_id(y, winv) for y in range(g.size)]
             for j in range(n):
-                u = {
-                    y * n + r: Qv(x)
-                    for y in range(g.size)
-                    for r, x in enumerate(tabs[j][g.mul_id(y, winv)])
-                    if x
-                }
+                k = tabs[j][winv]
+                u = _stacked_diff([tabs[j][z] for z in zs], self.images(k, gens), lo, b)
+                if not u:
+                    continue
                 taken = _eliminate(u, rows)
                 if u:
-                    # the preimage of an independent column; a dependent
-                    # one, about half of them, never needs its own
+                    # the preimage of an independent residual; a dependent
+                    # one never needs its own
                     pre = {(w, j): QV_ONE}
                     for f, pk in taken:
                         _axpy(pre, -f, pk)
@@ -574,34 +660,42 @@ class OrbitModule:
                     inv = u.pop(piv).inv()
                     pre = {c: x * inv for c, x in pre.items()}
                     rows.append((piv, {i: x * inv for i, x in u.items()}, pre))
-        return rows
+                    phi[(w, j)] = {r: unpack(x, lo, b) for r, x in enumerate(k) if x}
+        return rows, phi
 
     def solve_free(self, parts) -> Optional[Dict[Tuple[int, int], Qv]]:
-        """{(w, j): c}, nonzero, with sum c F(w, e_j) the tuple whose block
+        """{(w, j): c}, nonzero, with sum c F(w, e_j) the tuple a whose block
         vector at y is parts[y], an integral vector; None when it is outside
-        the span.  Uses the rows of ``_build_free_solver``, built once.
+        the span.  Uses ``_build_free_solver``, built once.
+
+        By its residual argument a = F(e, alpha) + sum beta_(w, j) R(w, j)
+        over the pivots with w != e, alpha = a_e - sum beta_(w, j) Phi_{w^-1}
+        e_j.  R vanishes at y = e, so beta comes from the echelon of a -
+        F(e, a_e), formed on packed ints (terms of 0 and l(w0) steps), and
+        then alpha from a_e; the coefficient of (e, j) is alpha_j.
 
         The solve is linear, so it runs on parts divided by their content g
         (``_content``) and the coefficients are multiplied by g: on the
         p(v)^k-multiples of c08, g carries p(v)^k, whose degree would
         otherwise enter every Q(v) gcd of the elimination.
         """
-        g = _content(x for part in parts for x in part if x)
+        g, parts = _content(parts)
         if not g:
             return {}
-        n = self.dim
-        u = {
-            y * n + r: Qv(x.divide_exact(g))
-            for y, part in enumerate(parts)
-            for r, x in enumerate(part)
-            if x
-        }
-        taken = _eliminate(u, self._solver("free", self._build_free_solver))
+        grp = self.alg.group
+        rows, phi = self._solver("free", self._build_free_solver)
+        gens, packed, lo, b = self.pack(parts, [0, grp.lengths[grp.longest_id]])
+        u = _stacked_diff(packed, self.images(packed[0], gens), lo, b)
+        taken = _eliminate(u, rows)
         if u:
             return None
         coeffs: Dict[Tuple[int, int], Qv] = {}
         for f, pre in taken:
             _axpy(coeffs, f, pre)
+        alpha = {j: Qv(x) for j, x in enumerate(parts[0]) if x}
+        for lab, c in coeffs.items():
+            _axpy(alpha, -c, phi[lab])
+        coeffs.update(((0, j), c) for j, c in alpha.items())
         return {lab: c * g for lab, c in coeffs.items()}
 
 
@@ -875,6 +969,10 @@ class KModule:
 
         a0 = Ptilde(F) a and a1 = r(F)(F - 1) a, where Ptilde is the product
         of (x - v^2i) for 1 <= i <= m and Ptilde(x) + r(x)(x - 1) = p(v).
+        Each is one ``apply_twist_poly``, a1 with the polynomial r(x)(x - 1),
+        so each block runs Horner on Ptilde and on r(x)(x - 1) reduced
+        modulo its mu_B: where mu_B divides Ptilde, Ptilde reduces to 0 and
+        r(x)(x - 1) to p(v).
         Verifies exactly: (i) a0 + a1 = p(v) a; (ii) Phi_s^2 a0 = a0;
         (iii) a0_{sw} = Phi_s a0_w, via the proof step that multiplication
         by (Phi_s^2 - 1) on that difference equals multiplication by v^4 - 1,
@@ -892,10 +990,8 @@ class KModule:
         # over Z[v, v^-1]: comp = D a, and a0, a1 share a's denominator D
         comp, den = a._c, a.den
         a0c = [self.apply_twist_poly(ptilde, vec) for vec in comp]
-        a1c = []
-        for vec in comp:
-            fm = [x - y for x, y in zip(self.apply_fulltwist(vec), vec)]
-            a1c.append(self.apply_twist_poly(r, fm))
+        r1 = r * BivarPoly.x_minus(LaurentPoly.one())
+        a1c = [self.apply_twist_poly(r1, vec) for vec in comp]
         cert = {"m": mm, "p": pv.render()}
         for w in range(g.size):
             got = [x + y for x, y in zip(a0c[w], a1c[w])]
@@ -965,13 +1061,14 @@ class KModule:
                     % (gW.elements[w].word_str, _render_vec(_over(res, den)))
                 )
         pr = BivarPoly.const(p_poly(mm)) ** r
-        quo, rem = divmod_x(pr - ptilde_r, BivarPoly.x_minus(LaurentPoly.one()))
+        x1 = BivarPoly.x_minus(LaurentPoly.one())
+        quo, rem = divmod_x(pr - ptilde_r, x1)
         if not rem.is_zero:
             raise IdentityFailure("x - 1 must divide p^r - Ptilde^r")
         scal = p_poly(mm) ** r
+        quo1 = quo * x1
         for w in range(gW.size):
-            f1 = [x - y for x, y in zip(self.apply_fulltwist(comp[w]), comp[w])]
-            lhs = self.apply_twist_poly(quo, f1)
+            lhs = self.apply_twist_poly(quo1, comp[w])
             if lhs != [scal * x for x in comp[w]]:
                 raise IdentityFailure("descent identity failed")
         return quo, {"check": "euclid_descent", "r": r, "m": mm, "status": "pass"}

@@ -397,6 +397,10 @@ PINNED_OUTPUT_SHA256 = {
     "verify gluing --type G2 --json": "5e4e35f0097289dec4468b2144e15f8388e09797837bf1a249ef6580c2957578",
     "verify minpoly --type G2": "d96610aa6eb49dc2950cba0c44835d7b90bc350ff501a165c1f504825543523a",
     "verify minpoly --type G2 --json": "c0d1ec537f23811e90b07ff5fad2455c19b4e17a8b789db394f3548d5cdf8514",
+    "verify polyconj --type B2 --den 2": "7022953223ff9115a7d5fba9b09b3abda7e7f42dba138879006068f41fe4bb33",
+    "verify polyconj --type B2 --den 2 --json": "eee85451ff2410356fefbaa5d62cbf3fce5e336779681f48cb90938b5c84a957",
+    "verify polyconj --type G2 --den 2": "399b00cb1c146e75af5c6d77fabb5bde4c40848953e55f9508a98787ca6b7c93",
+    "verify polyconj --type G2 --den 2 --json": "98cde835d98957a1065292531695d28d83addee3471d2e365d3e0fcccb99b8bb",
 }
 
 

@@ -24,9 +24,9 @@ from klwb.k0model import (
     canonical_multiplicities,
     resolve_m,
 )
-from klwb import linalg
+from klwb import k0model, linalg
 from klwb.klalgebra import KLAlgebra
-from klwb.rings import BivarPoly, LaurentPoly, Qv, annihilator_family, p_poly, split_at_one, unpack
+from klwb.rings import BivarPoly, LaurentPoly, Qv, annihilator_family, divmod_x, p_poly, split_at_one, unpack
 
 
 def lp(d):
@@ -159,7 +159,7 @@ def horner_reference(M, bp, vec):
 
 
 @pytest.mark.parametrize(
-    "t, den, shift", [("A1", 6, 0), ("A2", 3, 0), ("B2", 2, 0), ("A1", 6, 2)]
+    "t, den, shift", [("A1", 6, 0), ("A2", 3, 0), ("B2", 2, 0), ("G2", 2, 0), ("A1", 6, 2)]
 )
 def test_twist_poly_matches_horner_reference(t, den, shift):
     M = KModule.for_type(t, den)
@@ -187,6 +187,65 @@ def test_twist_poly_matches_horner_reference(t, den, shift):
             got = M.apply_twist_poly(bp, vec)
             assert got == horner_reference(M, bp, vec), (t, shift, bp)
             assert list(map(type, got)) == [type(vec[0])] * M.dim
+
+
+def twist_factor(i):
+    return BivarPoly.x_minus(LaurentPoly.monomial(2 * i))
+
+
+def factor_exponents(mu, top):
+    """The i with (x - v^2i) dividing mu, 0 <= i <= top, each divided out
+    once; the rest, which must be 1 for a product of distinct factors."""
+    got = []
+    for i in range(top + 1):
+        quo, rem = divmod_x(mu, twist_factor(i))
+        if rem.is_zero:
+            got.append(i)
+            mu = quo
+    return got, mu
+
+
+def kills_block(M, start, blk, bp):
+    # bp(F) e_j = 0 for every basis vector of the block, by horner_reference
+    zero = LaurentPoly.zero()
+    units = ([zero] * i + [LaurentPoly.one()] + [zero] * (M.dim - i - 1) for i in range(start, start + blk.dim))
+    return all(not any(horner_reference(M, bp, u)) for u in units)
+
+
+@pytest.mark.parametrize("t, den", [("A1", 6), ("A2", 3), ("B2", 2), ("G2", 2)])
+def test_block_minpoly_oracles(t, den):
+    M = KModule.for_type(t, den)
+    top = resolve_m("safe", M.group)
+    union = set()
+    for start, blk, _ in M._parts([]):
+        mu = blk.minpoly
+        assert kills_block(M, start, blk, mu)
+        # a product of distinct (x - v^2i), 0 <= i <= 2 l(w0)
+        exps, rest = factor_exponents(mu, top)
+        assert rest == BivarPoly.const(1) and len(exps) == mu.degree
+        # minimal: without any one factor it no longer kills F
+        for i in exps:
+            quo, rem = divmod_x(mu, twist_factor(i))
+            assert rem.is_zero and not kills_block(M, start, blk, quo), (t, start, i)
+        union.update(exps)
+    lcm = BivarPoly.const(1)
+    for i in sorted(union):
+        lcm = lcm * twist_factor(i)
+    assert lcm == M.kl.fulltwist_minpoly()[0]
+
+
+@pytest.mark.parametrize("t, den", [("A1", 6), ("A2", 3), ("B2", 2), ("G2", 2)])
+def test_minpoly_check_rejects_a_dropped_factor(monkeypatch, t, den):
+    # a mu_B without one of its factors must fail mu_B(F) e_j = 0 for some j
+    for blk in KModule.for_type(t, den).blocks:
+        mu = blk.minpoly
+        for i in factor_exponents(mu, resolve_m("safe", blk.alg.group))[0]:
+            short = divmod_x(mu, twist_factor(i))[0]
+            fresh = OrbitModule(blk.alg)
+            monkeypatch.setattr(k0model, "minpoly_operator", lambda apply, n, c=short.xcoeffs: [Qv(x) for x in c])
+            with pytest.raises(IdentityFailure, match="does not kill basis vector"):
+                fresh.minpoly
+            monkeypatch.undo()
 
 
 def test_tuple_arithmetic_and_serialization():
@@ -952,6 +1011,23 @@ def test_euclid_descent():
         M.euclid_descent(a1, 0)
 
 
+def test_euclid_descent_r2_matches_horner_reference():
+    # the descent's quotient g, applied through apply_fulltwist and ring
+    # arithmetic only, gives p(v)^2 a1 = g(F)(F - 1) a1 on B2/2
+    M = KModule.for_type("B2", 2)
+    a = M.random_free_combination(random.Random(23), 2)
+    _, a1, _ = M.polyconj_split(a)
+    g, rep = M.euclid_descent(a1, 2)
+    mm = resolve_m(None, M.group)
+    assert rep == {"check": "euclid_descent", "r": 2, "m": mm, "status": "pass"}
+    assert g.degree == 2 * mm - 1
+    p2 = p_poly(mm) ** 2
+    for w in range(M.group.size):
+        vec = list(a1._c[w])
+        fm = [x - y for x, y in zip(M.apply_fulltwist(vec), vec)]
+        assert horner_reference(M, g, fm) == [p2 * x for x in vec]
+
+
 def test_express_free_tuple():
     M = KModule.for_type("A1", 6)
     res = M.express_in_free_span(M.make_free(0, M.basis_vector(3)))
@@ -996,7 +1072,15 @@ def dense_solve_free(blk, parts):
     g = blk.alg.group
     n = blk.dim
     zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    tabs = blk.unpacked_images([[zero] * j + [one] + [zero] * (n - j - 1) for j in range(n)])
+    ops = [linalg.sparse_operator(cols, n) for cols in blk.gen_cols]
+
+    def image(z, vec):
+        for s in reversed(g.words[z]):
+            vec = ops[s](vec)
+        return vec
+
+    units = [[zero] * j + [one] + [zero] * (n - j - 1) for j in range(n)]
+    tabs = [[image(z, u) for z in range(g.size)] for u in units]
     cols, labels = [], []
     for w in range(g.size):
         winv = g.inv_id(w)
@@ -1049,8 +1133,54 @@ def test_free_span_matches_dense_oracle(monkeypatch):
     assert results["A1/2 constant"] == [None]
     assert all(r is not None and r["admissible"] for r in results["A2/3 c08"])
     assert all(r is not None and r["admissible"] for r in results["B2/2 c08"])
+    # some block's rank, dim plus the residual echelon's rank, is below its
+    # |W| dim stacked columns
     M = KModule.for_type("B2", 2)
-    assert any(len(blk._solver("free", blk._build_free_solver)) < blk.dim * M.group.size for blk in M.blocks)
+    assert any(blk.dim + len(blk._solver("free", blk._build_free_solver)[0]) < blk.dim * M.group.size for blk in M.blocks)
+
+
+@pytest.mark.parametrize(
+    "t, den, ranks", [("A2", 2, [19, 27]), ("A2", 3, [19, 27, 27, 27, 12]), ("B2", 2, [33, 24, 18])]
+)
+def test_free_span_rank_is_dim_plus_residual_rank(t, den, ranks):
+    # the free span of a block is the direct sum of the F(e, e_j) and the
+    # residuals R(w, j), so its rank is dim + rank R; the pinned ranks are
+    # those of the echelon of all |W| dim columns, and dense elimination mod
+    # 2^61 - 1 at a random point gave the same on A2/2 and B2/2
+    M = KModule.for_type(t, den)
+    got = []
+    for blk in M.blocks:
+        rows, phi = blk._solver("free", blk._build_free_solver)
+        # row i combines the residuals of its own label, the i-th pivot, and
+        # of the pivots before it; e's columns are never rows
+        labels = list(phi)
+        assert len(labels) == len(rows) and all(w != 0 for w, _ in labels)
+        for i, (_, _, pre) in enumerate(rows):
+            assert labels[i] in pre and set(pre) <= set(labels[: i + 1])
+        got.append(blk.dim + len(rows))
+    assert got == ranks
+
+
+def test_free_span_of_a_block_with_zero_residuals():
+    # on A2/3's 12-dim block every residual is zero, so the span is that of
+    # the F(e, e_j) alone: a tuple is in it exactly when it is F(e, a_e)
+    M = KModule.for_type("A2", 3)
+    (start, blk, _), = [p for p in M._parts([]) if p[1].dim == 12]
+    rows, phi = blk._solver("free", blk._build_free_solver)
+    assert rows == [] and phi == {}
+    rng = random.Random(17)
+    k = [x if start <= i < start + 12 else LaurentPoly.zero() for i, x in enumerate(rand_poly_vec(M, rng, 0.6))]
+    w = 4
+    a = M.make_free(w, k)
+    parts = [list(vec[start : start + 12]) for vec in a._c]
+    got = blk.solve_free(parts)
+    assert got == dense_solve_free(blk, parts)
+    assert got and all(lab[0] == 0 for lab in got)
+    # the coefficients are a_e itself
+    assert got == {(0, j): Qv(x) for j, x in enumerate(parts[0]) if x}
+    # a tuple off F(e, a_e) at some y != e is outside the span
+    parts[3][5] = parts[3][5] + lp({1: 1})
+    assert blk.solve_free(parts) is None and dense_solve_free(blk, parts) is None
 
 
 def test_free_solver_built_once_per_block(monkeypatch):
@@ -1109,10 +1239,13 @@ def test_module_from_algebra_shares_group():
 def test_solver_built_once_under_concurrent_gluing_checks(monkeypatch):
     # the cli runs serially, but library callers may share a module between
     # threads: each cached builder (the pair table of Phi_s^2 - 1 per s, the
-    # twist columns, the free-span echelon) must still run exactly once per
-    # block
+    # twist columns, the minimal polynomial of F and each polynomial reduced
+    # by it, the free-span echelon) must still run exactly once per block.
+    # Builders nest (a reduced polynomial reads the minimal polynomial, which
+    # reads the twist columns), so a non-reentrant lock would deadlock: the
+    # threads are daemons joined against one deadline, and a deadlock fails
     builds = []
-    for name in ("_build_pairs", "_build_twist", "_build_free_solver"):
+    for name in ("_build_pairs", "_build_twist", "_build_minpoly", "_build_mod", "_build_free_solver"):
 
         def counted(self, *args, orig=getattr(OrbitModule, name), name=name):
             builds.append((id(self), name) + args)
@@ -1126,32 +1259,48 @@ def test_solver_built_once_under_concurrent_gluing_checks(monkeypatch):
     # the free-span echelon is slow to build on A2/3, so it races on A2/2
     N = KModule.for_type("A2", 2)
     small = [N.random_free_combination(rng, 3) for _ in range(2)]
+    ptilde = annihilator_family(resolve_m(None, M.group), tilde=True)
     jobs = [lambda t=t: M.check_gluing(t) for t in tuples]
     jobs += [lambda t=t: M.apply_fulltwist(t.get(1)) for t in tuples]
     jobs += [lambda t=t: N.express_in_free_span(t) for t in small]
+    jobs += [lambda t=t: M.apply_twist_poly(ptilde, t.get(2)) for t in tuples]
+    jobs += [lambda t=t: N.polyconj_split(t)[2] for t in small]
     results = [None] * len(jobs)
 
     def run(i):
         results[i] = jobs[i]()
 
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    workers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(jobs))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so a race shows
+    deadline = time.monotonic() + 300
     try:
         for th in workers:
             th.start()
         for th in workers:
-            th.join(timeout=300)
+            th.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in workers)
+    assert not any(th.is_alive() for th in workers), "a builder deadlocked or ran past the deadline"
     assert all(r["status"] == "pass" for rep in results[:4] for r in rep)
     monkeypatch.undo()
     fresh = KModule.for_type("A2", 3)
     assert results[4:8] == [fresh.apply_fulltwist(t.get(1)) for t in tuples]
-    assert all(out is not None and out["admissible"] for out in results[8:])
-    want = [(id(blk), "_build_twist") for blk in M.blocks]
-    # a pair table is built only for a block where some right-hand side is nonzero
-    want += [(id(blk), "_build_pairs", s) for blk in M.blocks for s in blk._solvers if s != "twist"]
-    want += [(id(blk), "_build_free_solver") for blk in N.blocks]
-    assert sorted(builds) == sorted(want)
+    assert all(out is not None and out["admissible"] for out in results[8:10])
+    assert results[10:14] == [fresh.apply_twist_poly(ptilde, t.get(2)) for t in tuples]
+    assert all(cert["annihilated"] == "pass" for cert in results[14:])
+    assert any(key == ("mod", ptilde) for blk in M.blocks for key in blk._solvers)
+    want = []
+    for blk in list(M.blocks) + list(N.blocks):
+        # a pair table is built only for a block where some right-hand side
+        # is nonzero, and a reduced polynomial only for a nonzero vector
+        for key in blk._solvers:
+            if isinstance(key, int):
+                want.append((id(blk), "_build_pairs", key))
+            elif isinstance(key, tuple):
+                want.append((id(blk), "_build_mod", key[1]))
+            else:
+                want.append((id(blk), {"twist": "_build_twist", "minpoly": "_build_minpoly", "free": "_build_free_solver"}[key]))
+    assert all(blk._solvers.keys() >= {"twist", "minpoly"} for blk in M.blocks)
+    assert all("free" in blk._solvers for blk in N.blocks)
+    assert sorted(builds, key=repr) == sorted(want, key=repr)
