@@ -252,25 +252,14 @@ def _points_with_denominator(W: WeylGroup, N: int) -> Iterator[Tuple[int, ...]]:
     return product(range(N), repeat=W.rank)
 
 
-def orbit_set(
-    W: WeylGroup, den_bound: int, mode: str = "le"
-) -> Tuple[OrbitData, ...]:
-    """All orbits of points with bounded denominator.
-
-    mode "le": every point whose least common denominator is at most the
-    bound; mode "dividing": denominator divides the bound exactly.
-    """
+def orbit_set(W: WeylGroup, den_bound: int) -> Tuple[OrbitData, ...]:
+    """All orbits of points whose least common denominator is at most the
+    bound."""
     if den_bound < 1:
         raise ValueError("denominator bound must be positive")
-    if mode == "dividing":
-        dens = [den_bound]
-    elif mode == "le":
-        dens = list(range(1, den_bound + 1))
-    else:
-        raise ValueError("unknown mode %r" % (mode,))
     seen = set()
     out = []
-    for N in dens:
+    for N in range(1, den_bound + 1):
         for a in _points_with_denominator(W, N):
             g = gcd(N, *a)
             key = (N // g, tuple(x // g for x in a))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .linalg import minpoly_operator, qpoly_to_bivar, sparse_operator
+from .linalg import minpoly_operator, sparse_operator
 from .rings import BivarPoly, LaurentPoly
 
 STD = "std"
@@ -480,7 +480,7 @@ class HeckeAlgebra:
             raise ConventionMismatch("element from another algebra")
         n = self.group.size
         cols = [list(self.t_mul(self.basis(eid), z)._t.items()) for eid in range(n)]
-        return qpoly_to_bivar(minpoly_operator(sparse_operator(cols, n), n))
+        return minpoly_operator(sparse_operator(cols, n), n)
 
 
 def convert_convention(a: HeckeElement, to: str) -> HeckeElement:

@@ -78,7 +78,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .klalgebra import KLAlgebra
-from .linalg import minpoly_operator, qpoly_to_bivar, sparse_operator
+from .linalg import minpoly_operator, sparse_operator
 from .rings import (
     BivarPoly,
     LaurentPoly,
@@ -518,15 +518,15 @@ class OrbitModule:
 
     def _build_minpoly(self) -> BivarPoly:
         """mu_B, the minimal polynomial of F on this block, as a primitive
-        polynomial in Z[v, v^-1][x] (``qpoly_to_bivar``).  F has entries in
-        Z[v], so its monic minimal polynomial has coefficients in Z[v]
-        (Gauss's lemma) and ``divmod_x`` by it stays in the ring; were the
-        leading coefficient not a unit, ``divmod_x`` would raise
+        polynomial in Z[v, v^-1][x] (``linalg.minpoly_operator``).  F has
+        entries in Z[v], so its monic minimal polynomial has coefficients in
+        Z[v] (Gauss's lemma) and ``divmod_x`` by it stays in the ring; were
+        the leading coefficient not a unit, ``divmod_x`` would raise
         NonUnitLeadingCoefficient.  IdentityFailure unless mu_B(F) e_j = 0
         for every basis vector e_j, decided on packed ints at the width of
         the norm bound for unit vectors."""
         n = self.dim
-        mu = qpoly_to_bivar(minpoly_operator(sparse_operator(self.twist_cols, n), n))
+        mu = minpoly_operator(sparse_operator(self.twist_cols, n), n)
         packed, b = self._packed_twist(mu, [1] * n)
         for j in range(n):
             acc, _ = _horner(packed, mu, b, [int(i == j) for i in range(n)])
@@ -760,10 +760,12 @@ class KModule:
         return self._apply_cleared(lambda blk, x: sparse_operator(blk.gen_cols[s], blk.dim)(x), vec)
 
     def apply_word(self, word: Iterable[int], vec):
-        out = list(vec)
+        """Phi_word vec, the letters applied right to left to D vec, which is
+        integral, so denominators are cleared and restored once per word."""
+        (out,), den = _clear_denominators([vec])
         for s in reversed(tuple(word)):
             out = self.apply_generator(s, out)
-        return out
+        return _over(out, den) if Qv in map(type, vec) else out
 
     def apply_element(self, w, vec):
         eid = w if isinstance(w, int) else self.group.id_of(w)

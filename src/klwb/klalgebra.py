@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .charpoints import OrbitData, orbit_set
 from .hecke import FREE_RULE, LY, LY_RULE, HeckeElement, hecke_algebra, lmul_gen, word_label
-from .linalg import bivar_divides, minpoly_operator, qpoly_lcm, qpoly_to_bivar, sparse_operator
+from .linalg import bivar_divides, lcm_x, minpoly_operator, sparse_operator
 from .rings import (
     BivarPoly,
     LaurentPoly,
@@ -408,11 +408,10 @@ class KLAlgebra:
         of all configured orbit modules, with divisibility verdicts against
         the x - v^2i families for m = l(w0) and m = 2 l(w0)."""
         z = self.full_twist()
-        combined = [Qv(1)]
+        mp = BivarPoly.const(1)
         for alg, proj in zip(self.algebras, z.projections):
             apply = sparse_operator(alg.columns(proj), alg.dim)
-            combined = qpoly_lcm(combined, minpoly_operator(apply, alg.dim))
-        mp = qpoly_to_bivar(combined)
+            mp = lcm_x(mp, minpoly_operator(apply, alg.dim))
         lw0 = self.group.lengths[self.group.longest_id]
         verdicts = {
             "paper": bivar_divides(mp, annihilator_family(lw0)),

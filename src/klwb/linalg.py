@@ -1,25 +1,26 @@
 """Exact linear algebra over Z[v, v^-1] and its fraction field Q(v).
 
 ``reduce_pair`` and ``echelon_row`` eliminate fraction-free over
-Z[v, v^-1] for the Krylov minimal polynomial, and only the monic minimal
-polynomial is divided into Q(v).
-``solve_linear``, dense Gauss-Jordan on lists of Qv, has no caller in
+Z[v, v^-1] for the Krylov minimal polynomial.  Minimal polynomials are
+primitive ``BivarPoly`` in Z[v, v^-1][x]: an operator with entries in
+Z[v, v^-1] has a monic minimal polynomial over Z[v, v^-1] (Gauss's lemma),
+so the primitive form has a unit leading coefficient, and ``divmod_x`` by
+it, ``lcm_x`` and ``bivar_divides`` never leave the ring.
+``solve_linear``, dense Gauss-Jordan over Q(v), has no caller in
 the package: the tests solve with it as the reference for the free-span
 solver (``k0model.OrbitModule.solve_free``), a cached sparse column
 echelon that also stays in Q(v).  Fraction-free elimination does not suit
 that echelon: built with ``reduce_pair`` on the 8-dim block of B2/3 (rank
 33 of 64), its preimages swelled to 267-bit coefficients and a v-degree
 span of 1808, and the build took 63 s against 1.8 s over Q(v) (2-core VM,
-CPython 3.11).
-Univariate polynomials over Q(v) are lists of Qv coefficients in
-ascending degree.  Everything here is deterministic and exact.
+CPython 3.11).  Everything here is deterministic and exact.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from .rings import QV_ONE, QV_ZERO, BivarPoly, LaurentPoly, Qv, gcd_laurent
+from .rings import QV_ZERO, BivarPoly, LaurentPoly, Qv, divmod_x, gcd_laurent
 
 
 def solve_linear(rows: Sequence[Sequence[Qv]], rhs: Sequence[Qv]) -> Optional[List[Qv]]:
@@ -58,74 +59,6 @@ def solve_linear(rows: Sequence[Sequence[Qv]], rhs: Sequence[Qv]) -> Optional[Li
     for i, c in enumerate(pivots):
         out[c] = a[i][n]
     return out
-
-
-# -- univariate polynomials over Q(v), ascending coefficients ---------------
-
-
-def qpoly_normalize(p: List[Qv]) -> List[Qv]:
-    q = list(p)
-    while q and not q[-1]:
-        q.pop()
-    if q:
-        lead = q[-1].inv()
-        q = [c * lead for c in q]
-    return q
-
-
-def qpoly_mul(p: Sequence[Qv], q: Sequence[Qv]) -> List[Qv]:
-    if not p or not q:
-        return []
-    out = [QV_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return out
-
-
-def qpoly_divmod(p: Sequence[Qv], q: Sequence[Qv]):
-    q = qpoly_normalize(list(q))
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [QV_ZERO] * max(0, len(rem) - len(q) + 1)
-    while len(rem) >= len(q):
-        while rem and not rem[-1]:
-            rem.pop()
-        if len(rem) < len(q):
-            break
-        shift = len(rem) - len(q)
-        f = rem[-1]
-        quot[shift] = quot[shift] + f
-        for i, c in enumerate(q):
-            rem[shift + i] = rem[shift + i] - f * c
-        rem.pop()
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
-def qpoly_gcd(p: Sequence[Qv], q: Sequence[Qv]) -> List[Qv]:
-    a = qpoly_normalize(list(p))
-    b = qpoly_normalize(list(q))
-    while b:
-        _, r = qpoly_divmod(a, b)
-        a, b = b, qpoly_normalize(r)
-    return a
-
-
-def qpoly_lcm(p: Sequence[Qv], q: Sequence[Qv]) -> List[Qv]:
-    if not p:
-        return qpoly_normalize(list(q))
-    if not q:
-        return qpoly_normalize(list(p))
-    g = qpoly_gcd(p, q)
-    quot, rem = qpoly_divmod(qpoly_mul(p, q), g)
-    assert not rem
-    return qpoly_normalize(quot)
 
 
 def reduce_pair(u, w, rows):
@@ -168,11 +101,27 @@ def echelon_row(u, w):
     return piv, u, w, d
 
 
-def _krylov_annihilator(apply_fn, vec: List[LaurentPoly]) -> List[Qv]:
-    """Monic minimal polynomial killing vec under the operator.
+def _primitive(cs: Sequence[LaurentPoly]) -> BivarPoly:
+    """The primitive form of the polynomial with x-coefficients cs: no common
+    Laurent factor among them, the least v-exponent across them zero, and
+    a positive leading v-coefficient in the leading x-coefficient."""
+    g = LaurentPoly.zero()
+    for c in cs:
+        g = gcd_laurent(g, c)
+    if g != LaurentPoly.one():
+        cs = [c.divide_exact(g) for c in cs]
+    shift = min(c.min_exp for c in cs if c)
+    lead = next(c for c in reversed(cs) if c)
+    sign = -1 if lead.coefficient(lead.max_exp) < 0 else 1
+    return BivarPoly([c.shifted(-shift) * sign for c in cs])
+
+
+def _krylov_annihilator(apply_fn, vec: List[LaurentPoly]) -> BivarPoly:
+    """Primitive minimal polynomial killing vec under the operator.
 
     Fraction-free: a row (piv, r, comp, d) has r = comp(A) vec, r[piv] = d
-    and comp padded to degree dim.  Only the final comp is made monic.
+    and comp padded to degree dim.  The final comp is a Z[v, v^-1] multiple
+    of the monic annihilator; its primitive form is returned.
     """
     dim = len(vec)
     rows = []
@@ -183,7 +132,7 @@ def _krylov_annihilator(apply_fn, vec: List[LaurentPoly]) -> List[Qv]:
         r, comp, _ = reduce_pair(cur, comp, rows)
         row = echelon_row(r, comp)
         if row is None:
-            return qpoly_normalize([Qv(c) for c in comp])
+            return _primitive(comp)
         rows.append(row)
         cur = apply_fn(cur)
     raise AssertionError("Krylov space exceeds the dimension")
@@ -203,82 +152,46 @@ def sparse_operator(cols, dim: int) -> Callable[[list], list]:
     return apply
 
 
-def minpoly_operator(apply_fn: Callable[[list], list], dim: int) -> List[Qv]:
+def minpoly_operator(apply_fn: Callable[[list], list], dim: int) -> BivarPoly:
     """Minimal polynomial of a linear operator given by its action on vectors.
 
-    The operator acts on vectors over Z[v, v^-1]; the result is monic, with
-    coefficients over Q(v) in ascending degree.  It is the lcm m of the
-    annihilators ann(e_i) of the basis vectors, each from a Krylov sequence
-    (``_krylov_annihilator``), except that e_i is skipped when m(A) e_i = 0
-    already.  That is exact: then ann(e_i) divides m, so the lcm is m again.
-    The test runs Horner on the primitive integral form of m
-    (``qpoly_to_bivar``), a nonzero Q(v) multiple of m with the same kernel,
-    and costs deg m operator steps against up to dim + 1 for a Krylov
-    sequence.
+    The operator acts on vectors over Z[v, v^-1]; the result is primitive
+    (``_primitive``) with a unit leading coefficient.  It is the lcm m of
+    the annihilators of the basis vectors, built one vector at a time:
+    lcm(m, ann(e_i)) = m ann(m(A) e_i), and u = m(A) e_i, one Horner chain
+    of deg m operator steps, is zero when ann(e_i) divides m already, so
+    e_i is then skipped.  A product of primitive polynomials is primitive
+    (Gauss's lemma), so m needs no normalization.
     """
-    if dim == 0:
-        return [QV_ONE]
-    m: List[Qv] = []
-    kill: Sequence[LaurentPoly] = ()
+    m = BivarPoly.const(1)
     for i in range(dim):
-        if kill:
-            acc = [LaurentPoly.zero()] * dim
-            acc[i] = kill[-1]
-            for c in reversed(kill[:-1]):
-                acc = apply_fn(acc)
-                acc[i] = acc[i] + c
-            if not any(acc):
-                continue
-        e = [LaurentPoly.zero()] * dim
-        e[i] = LaurentPoly.one()
-        ann = _krylov_annihilator(apply_fn, e)
-        m = qpoly_lcm(m, ann) if m else ann
-        if len(m) - 1 == dim:
-            break
-        kill = qpoly_to_bivar(m).xcoeffs
+        u = [LaurentPoly.zero()] * dim
+        u[i] = m.xcoeffs[-1]
+        for c in reversed(m.xcoeffs[:-1]):
+            u = apply_fn(u)
+            u[i] = u[i] + c
+        if any(u):
+            m = m * _krylov_annihilator(apply_fn, u)
+            if m.degree == dim:
+                break
     return m
 
 
-def qpoly_to_bivar(coeffs: Sequence[Qv]) -> BivarPoly:
-    """Clear denominators and content to a primitive integral polynomial.
+def lcm_x(a: BivarPoly, b: BivarPoly) -> BivarPoly:
+    """An lcm of a and b in Q(v)[x], primitive when a is.
 
-    Normalization: no common Laurent factor among the x-coefficients, the
-    least v-exponent across them is zero, and the leading x-coefficient has a
-    positive leading v-coefficient.
+    It is a times the annihilator of a mod b under multiplication by x
+    modulo b, which is b / gcd(a, b).  b's leading coefficient must be a
+    unit (else NonUnitLeadingCoefficient), as it is for every minimal
+    polynomial here, so the reductions stay in Z[v, v^-1][x].
     """
-    cs = qpoly_normalize(list(coeffs))
-    if not cs:
-        return BivarPoly.zero()
-    den = LaurentPoly.one()
-    for c in cs:
-        g = gcd_laurent(den, c.den)
-        extra = c.den.divide_exact(g) if not g.is_zero else c.den
-        den = den * extra
-    nums = []
-    for c in cs:
-        q = den.divide_exact(c.den)
-        assert q is not None
-        nums.append(c.num * q)
-    shift = min(p.min_exp for p in nums if not p.is_zero)
-    if shift:
-        nums = [p.shifted(-shift) for p in nums]
-    g = LaurentPoly.zero()
-    for p in nums:
-        g = gcd_laurent(g, p)
-    if not g.is_zero and g != LaurentPoly.one():
-        nums = [p.divide_exact(g) for p in nums]
-        assert all(p is not None for p in nums)
-    lead = nums[-1]
-    if lead.coefficient(lead.max_exp) < 0:
-        nums = [-p for p in nums]
-    return BivarPoly(tuple(nums))
+    d = b.degree
+    x = BivarPoly.x_minus(LaurentPoly.zero())
+    cols = [[(k, c) for k, c in enumerate(divmod_x(x ** (j + 1), b)[1].xcoeffs) if c] for j in range(d)]
+    rem = list(divmod_x(a, b)[1].xcoeffs)
+    return a * _krylov_annihilator(sparse_operator(cols, d), rem + [LaurentPoly.zero()] * (d - len(rem)))
 
 
 def bivar_divides(d: BivarPoly, f: BivarPoly) -> bool:
-    """Whether d divides f over Q(v)[x]."""
-    dq = [Qv(c) for c in d.xcoeffs]
-    fq = [Qv(c) for c in f.xcoeffs]
-    if not dq:
-        return not fq
-    _, rem = qpoly_divmod(fq, dq)
-    return not rem
+    """Whether d, with a unit leading coefficient, divides f."""
+    return divmod_x(f, d)[1].is_zero

@@ -5,7 +5,8 @@ K-group linear algebra) reduces to arithmetic in a handful of rings:
 
 * ``LaurentPoly``: Z[v, v^-1], stored as a sparse map exponent -> integer.
 * ``BivarPoly``: polynomials in a second variable x with LaurentPoly
-  coefficients, used for annihilator families such as prod_i (x - v^2i).
+  coefficients: annihilator families such as prod_i (x - v^2i) and every
+  minimal polynomial, in primitive form with a unit leading coefficient.
 * ``Qv``: the fraction field Q(v), a thin layer over LaurentPoly pairs,
   used for exact linear algebra.
 * ``LocalizedScalar``: the localization of Z[v, v^-1] at the multiplicative
@@ -118,13 +119,6 @@ class LaurentPoly:
     def is_unit(self) -> bool:
         """True for +-v^k, the units of Z[v, v^-1]."""
         return len(self._c) == 1 and abs(next(iter(self._c.values()))) == 1
-
-    def content(self) -> int:
-        """Nonnegative gcd of all coefficients (0 for the zero polynomial)."""
-        g = 0
-        for x in self._c.values():
-            g = gcd(g, x)
-        return g
 
     # -- arithmetic ---------------------------------------------------------
 

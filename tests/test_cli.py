@@ -401,6 +401,10 @@ PINNED_OUTPUT_SHA256 = {
     "verify polyconj --type B2 --den 2 --json": "eee85451ff2410356fefbaa5d62cbf3fce5e336779681f48cb90938b5c84a957",
     "verify polyconj --type G2 --den 2": "399b00cb1c146e75af5c6d77fabb5bde4c40848953e55f9508a98787ca6b7c93",
     "verify polyconj --type G2 --den 2 --json": "98cde835d98957a1065292531695d28d83addee3471d2e365d3e0fcccb99b8bb",
+    "verify minpoly --type A3 --den 2": "0685204089ffd08d9ef5040d5145efc5aac919a15b1f4b37127bbf08edb1fa83",
+    "verify minpoly --type A3 --den 2 --json": "b97bf56de0dc264df58a6c62720069ce247ee01e50ac6b7ced403d191587561d",
+    "verify minpoly --type B2 --m 3": "f2003c8a41961008d2ae04c75a26f9e1908b2a8385cc0fb1d6015ee3b699c437",
+    "verify minpoly --type B2 --m 3 --json": "3c00677bbddf30f7c85b8ba95b05adfe732f8382d24c9b2348fb840c93ced105",
 }
 
 

@@ -242,7 +242,7 @@ def test_minpoly_check_rejects_a_dropped_factor(monkeypatch, t, den):
         for i in factor_exponents(mu, resolve_m("safe", blk.alg.group))[0]:
             short = divmod_x(mu, twist_factor(i))[0]
             fresh = OrbitModule(blk.alg)
-            monkeypatch.setattr(k0model, "minpoly_operator", lambda apply, n, c=short.xcoeffs: [Qv(x) for x in c])
+            monkeypatch.setattr(k0model, "minpoly_operator", lambda apply, n, short=short: short)
             with pytest.raises(IdentityFailure, match="does not kill basis vector"):
                 fresh.minpoly
             monkeypatch.undo()
@@ -381,26 +381,29 @@ def test_minpoly_operator_non_unit_pivot(monkeypatch):
     monkeypatch.setattr(linalg, "reduce_pair", traced)
     mp = linalg.minpoly_operator(apply, 3)
     assert lp({0: 1, 2: 1}) in sigmas
-    # pinned from the Q(v) elimination: x^3 - v x^2 - x
-    assert [c.render() for c in mp] == ["0", "-1", "-v", "1"]
+    # pinned from the Q(v) elimination: x^3 - v x^2 - x, primitive, so the
+    # 1 + v^2 scaling is divided out again
+    assert [c.render() for c in mp.xcoeffs] == ["0", "-1", "-v", "1"]
 
 
 def test_minpoly_operator_skips_killed_basis_vectors(monkeypatch):
     # diag(1, v, v): ann(e0) = x - 1 is a proper divisor of the minimal
-    # polynomial, so e1 must still run its Krylov sequence; e2 is killed by
-    # (x - 1)(x - v) and is the one skip
+    # polynomial, so e1 must still run its Krylov sequence, on
+    # (A - 1) e1 = (v - 1) e1; e2 is killed by (x - 1)(x - v) and is the
+    # one skip
     diag = [lp({0: 1}), lp({1: 1}), lp({1: 1})]
     calls = []
     orig = linalg._krylov_annihilator
 
     def counted(apply_fn, vec):
-        calls.append(vec.index(LaurentPoly.one()))
+        calls.append(list(vec))
         return orig(apply_fn, vec)
 
     monkeypatch.setattr(linalg, "_krylov_annihilator", counted)
     mp = linalg.minpoly_operator(lambda vec: [d * x for d, x in zip(diag, vec)], 3)
-    assert [c.render() for c in mp] == ["v", "-1 - v", "1"]
-    assert calls == [0, 1]
+    assert [c.render() for c in mp.xcoeffs] == ["v", "-1 - v", "1"]
+    zero = LaurentPoly.zero()
+    assert calls == [[LaurentPoly.one(), zero, zero], [zero, lp({0: -1, 1: 1}), zero]]
 
 
 def free_reference(M, terms):

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from klwb import linalg
+from klwb import klalgebra, linalg
 from klwb.charpoints import CharacterPoint, orbit, orbit_set, parse_point
 from klwb.coxeter import build_weyl
 from klwb.hecke import LY, hecke_algebra
 from klwb.klalgebra import KLAlgebra, OrbitAlgebra, OrbitMismatch
-from klwb.rings import BivarPoly, LaurentPoly, Qv
+from klwb.rings import BivarPoly, LaurentPoly, divmod_x
 
 
 def lp(d):
@@ -223,30 +223,64 @@ def test_fulltwist_minpoly_a2():
     assert verdicts == {"paper": False, "safe": True}
 
 
+def kills_every_basis_vector(bp, apply, dim):
+    # bp(A) e_i = 0 for every i, by Horner on the sparse operator
+    for i in range(dim):
+        e = [LaurentPoly.zero()] * dim
+        e[i] = LaurentPoly.one()
+        acc = [LaurentPoly.zero()] * dim
+        for c in reversed(bp.xcoeffs):
+            acc = [a + c * x for a, x in zip(apply(acc), e)]
+        if any(acc):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("t", ["A2", "B2"])
 def test_fulltwist_minpoly_runs_one_krylov_sequence_per_block(t, monkeypatch):
     # on every block the first basis vector's annihilator is already the
-    # block's minimal polynomial, so every other basis vector is skipped
+    # block's minimal polynomial, so every other basis vector is skipped;
+    # only the Krylov runs that minpoly_operator starts are counted, not
+    # those of lcm_x on its quotient spaces
     calls = []
-    orig = linalg._krylov_annihilator
+    inside = []
+    orig_krylov = linalg._krylov_annihilator
+    orig_minpoly = klalgebra.minpoly_operator
 
     def counted(apply_fn, vec):
-        calls.append(len(vec))
-        return orig(apply_fn, vec)
+        if inside:
+            calls.append(len(vec))
+        return orig_krylov(apply_fn, vec)
+
+    def minpoly(apply_fn, dim):
+        inside.append(dim)
+        out = orig_minpoly(apply_fn, dim)
+        inside.pop()
+        return out
 
     monkeypatch.setattr(linalg, "_krylov_annihilator", counted)
+    monkeypatch.setattr(klalgebra, "minpoly_operator", minpoly)
     kl = KLAlgebra.for_type(t, 6)
     mp, _ = kl.fulltwist_minpoly()
-    assert len(calls) <= len(kl.algebras)
-    # the skips are exact: the lcm of every basis vector's annihilator
-    want = [Qv(1)]
-    for alg, proj in zip(kl.algebras, kl.full_twist().projections):
-        apply = linalg.sparse_operator(alg.columns(proj), alg.dim)
-        for i in range(alg.dim):
-            e = [LaurentPoly.zero()] * alg.dim
-            e[i] = LaurentPoly.one()
-            want = linalg.qpoly_lcm(want, orig(apply, e))
-    assert mp == linalg.qpoly_to_bivar(want)
+    assert 0 < len(calls) <= len(kl.algebras)
+    # the skips are exact: mp kills every basis vector of every block, and
+    # mp is a product of distinct x - v^2i none of which can be dropped
+    blocks = [
+        (linalg.sparse_operator(alg.columns(proj), alg.dim), alg.dim)
+        for alg, proj in zip(kl.algebras, kl.full_twist().projections)
+    ]
+    assert all(kills_every_basis_vector(mp, apply, dim) for apply, dim in blocks)
+    lw0 = kl.group.lengths[kl.group.longest_id]
+    rest, factors = mp, []
+    for i in range(2 * lw0 + 1):
+        quo, rem = divmod_x(rest, BivarPoly.x_minus(lp({2 * i: 1})))
+        if rem.is_zero:
+            rest = quo
+            factors.append(i)
+    assert rest == BivarPoly.const(1) and len(factors) == mp.degree
+    for i in factors:
+        short = divmod_x(mp, BivarPoly.x_minus(lp({2 * i: 1})))[0]
+        assert not all(kills_every_basis_vector(short, apply, dim) for apply, dim in blocks), (t, i)
 
 
 def test_fulltwist_minpoly_stable_under_denominator_growth():
