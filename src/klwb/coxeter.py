@@ -307,6 +307,7 @@ class WeylGroup:
                 q[p[k]] = k
             inv[eid] = self._eid[tuple(q)]
         self._inv = inv
+        self._mul_rows: List[Optional[List[int]]] = [None] * order
         self._bruhat_memo: Dict[Tuple[int, int], bool] = {}
         self._refl_cache: Dict[int, WeylElement] = {}
 
@@ -318,9 +319,11 @@ class WeylGroup:
         return el.eid
 
     def mul_id(self, aid: int, bid: int) -> int:
-        pa = self.perms[aid]
-        pb = self.perms[bid]
-        return self._eid[tuple(pa[pb[k]] for k in range(len(pa)))]
+        row = self._mul_rows[aid]
+        if row is None:  # aid's row of the table, built on first use
+            pa = self.perms[aid]
+            row = self._mul_rows[aid] = [self._eid[tuple(pa[k] for k in pb)] for pb in self.perms]
+        return row[bid]
 
     def lmul_id(self, i: int, eid: int) -> int:
         return self._lmul[i][eid]
@@ -604,7 +607,10 @@ class SubsystemGroup:
             p = ambient.perms[aeid]
             return sum(1 for b in pos if p[b] >= N)
 
-        aeids, words = _enumerate(0, self.rank, lambda aeid, i: ambient.mul_id(aeid, gen_aeids[i]))
+        # a g = (g^-1 a^-1)^-1 reads only the generators' rows of mul_id
+        inv = ambient.inv_id
+        rmul = lambda a, g: inv(ambient.mul_id(inv(g), inv(a)))
+        aeids, words = _enumerate(0, self.rank, lambda aeid, i: rmul(aeid, gen_aeids[i]))
         self.size = len(aeids)
         self._aeids = aeids
         self._local = {a: i for i, a in enumerate(aeids)}
@@ -620,7 +626,7 @@ class SubsystemGroup:
         assert self.lengths[self.longest_id] == len(pos)
         assert self.size < 2 or self.lengths[self.size - 2] < len(pos)
         self._rmul = [
-            [self._local[ambient.mul_id(a, g)] for a in aeids] for g in gen_aeids
+            [self._local[rmul(a, g)] for a in aeids] for g in gen_aeids
         ]
         self._lmul = [
             [self._local[ambient.mul_id(g, a)] for a in aeids] for g in gen_aeids

@@ -11,9 +11,12 @@ SubsystemGroup; only the shared table interface is used, so cells, scalars
 and minimal polynomials work intrinsically inside reflection subgroups.
 
 ``HeckeElement`` is the one sparse element type, also of the orbit algebras
-in ``klalgebra``, and ``lmul_gen`` the one left-multiply-by-T_s kernel.  On a
-descent it applies a quadratic rule per term: STD_RULE in std; LY_RULE in ly
-and in orbit blocks whose W_L contains s; FREE_RULE (T_s^2 = 1) elsewhere.
+in ``klalgebra``, and ``lmul_gen`` the one generator step: one pass over the
+terms, each read from a ``step_table`` that folds in the ascent/descent test
+and the rule.  Every product that is a word in generators, or in their
+inverses (INV_STD_RULE, INV_LY_RULE), runs as a chain of steps.  Rules:
+STD_RULE in std; LY_RULE in ly and in orbit blocks whose W_L contains s;
+FREE_RULE (T_s^2 = 1) elsewhere.
 """
 
 from __future__ import annotations
@@ -31,13 +34,17 @@ _ONE = LaurentPoly.one()
 _V = LaurentPoly.monomial(1)
 _VINV = LaurentPoly.monomial(-1)
 _V2 = LaurentPoly.monomial(2)
-_V_VINV = _V - _VINV
+_VINV2 = LaurentPoly.monomial(-2)
 
-# quadratic rules (qa, qb) on a descent: T_s^2 = qa + qb T_s; FREE_RULE
-# is T_s^2 = 1, with None for the absent T_s term
-STD_RULE = (_ONE, _VINV - _V)
-LY_RULE = (_V2, _ONE - _V2)
-FREE_RULE = (_ONE, None)
+# A rule gives a generator's action on T_w as qa T_sw + qb T_w, one pair
+# (qa, qb) on an ascent (l(sw) > l(w)) and one on a descent.  qa is None for
+# 1, else the map c -> qa c; qb is None for no T_w term, else c -> qb c.
+PLAIN = (None, None)
+STD_RULE = (PLAIN, (None, (_VINV - _V).__mul__))
+LY_RULE = (PLAIN, (_V2.__mul__, (_ONE - _V2).__mul__))
+FREE_RULE = (PLAIN, PLAIN)
+INV_STD_RULE = ((None, (_V - _VINV).__mul__), PLAIN)
+INV_LY_RULE = ((_VINV2.__mul__, (_ONE - _VINV2).__mul__), PLAIN)
 
 
 class ConventionMismatch(ValueError):
@@ -153,25 +160,34 @@ def word_label(group, eid: int) -> str:
     return "".join(str(i + 1) for i in group.words[eid]) or "e"
 
 
-def lmul_gen(
-    group, s: int, terms: Dict[int, LaurentPoly], rules
-) -> Dict[int, LaurentPoly]:
-    """Left multiplication by T_s on a sparse combination {eid: coeff}.
+def step_table(group, s: int, rule) -> List[tuple]:
+    """(sw, qa, qb) per element id w: the generator acts on T_w as qa T_sw +
+    qb T_w, with (qa, qb) = rule[l(sw) < l(w)].  Built once per carrier."""
+    cache = _algebra_cache(group)
+    got = cache.get((s, rule))
+    if got is None:
+        got = []
+        for w in range(group.size):
+            j = group.lmul_id(s, w)
+            got.append((j,) + rule[group.lengths[j] < group.lengths[w]])
+        cache[(s, rule)] = got
+    return got
 
-    On a descent (sw shorter than w), T_s T_w = qa T_sw + qb T_w with
-    (qa, qb) = rules[w]: STD_RULE, LY_RULE or FREE_RULE (T_s^2 = 1).
-    """
-    lengths = group.lengths
-    out: Dict[int, LaurentPoly] = {}
-    for eid, c in terms.items():
-        j = group.lmul_id(s, eid)
-        if lengths[j] < lengths[eid] and rules[eid][1] is not None:
-            qa, qb = rules[eid]
-            out[j] = out.get(j, LaurentPoly.zero()) + qa * c
-            out[eid] = out.get(eid, LaurentPoly.zero()) + qb * c
-        else:
-            # an ascent, or a descent where T_s^2 = 1: T_s T_w = T_sw
-            out[j] = out.get(j, LaurentPoly.zero()) + c
+
+def lmul_gen(table, terms: dict) -> dict:
+    """One generator step on a sparse combination {key: coeff}, one pass: the
+    term c T_k goes to qa c T_j + qb c T_k for (j, qa, qb) = table[k]."""
+    out: dict = {}
+    get = out.get
+    for k, c in terms.items():
+        j, qa, qb = table[k]
+        x = c if qa is None else qa(c)
+        y = get(j)
+        out[j] = x if y is None else y + x
+        if qb is not None:
+            x = qb(c)
+            y = get(k)
+            out[k] = x if y is None else y + x
     return out
 
 
@@ -201,8 +217,9 @@ class HeckeAlgebra:
     def __init__(self, group, convention: str):
         self.group = group
         self.convention = convention
-        # one rule for every element: lmul_gen looks it up per term
-        self._rules = (STD_RULE if convention == STD else LY_RULE,) * group.size
+        rules = (STD_RULE, INV_STD_RULE) if convention == STD else (LY_RULE, INV_LY_RULE)
+        self._steps, self._inv_steps = ([step_table(group, s, r) for s in range(group.rank)] for r in rules)
+        self._twist: Optional[HeckeElement] = None
         self._kl: Dict[int, HeckeElement] = {}
         self._inv_basis: Dict[int, HeckeElement] = {}
         self._convert: Dict[str, Dict[int, HeckeElement]] = {}
@@ -254,37 +271,30 @@ class HeckeAlgebra:
             a._check(b)
             if a.algebra is not self:
                 raise ConventionMismatch("product outside this algebra")
-        g = self.group
         acc: Dict[int, LaurentPoly] = {}
         for eid, c in a._t.items():
-            cur = dict(b._t)
-            for i in reversed(g.words[eid]):
-                cur = lmul_gen(g, i, cur, self._rules)
-            for k, p in cur.items():
-                acc[k] = acc.get(k, LaurentPoly.zero()) + c * p
+            for k, p in self.steps(self.group.words[eid], b._t).items():
+                y = acc.get(k)
+                acc[k] = c * p if y is None else y + c * p
         return HeckeElement(self, acc)
+
+    def steps(self, word, terms: dict, tables=None) -> dict:
+        """T_word on a sparse combination, the last letter acting first, one
+        ``lmul_gen`` step per letter on tables (by default this algebra's)."""
+        tables = tables or self._steps
+        for s in reversed(word):
+            terms = lmul_gen(tables[s], terms)
+        return terms
 
     mul = t_mul
 
     def basis_inverse(self, w) -> HeckeElement:
-        """The inverse of T_w."""
+        """The inverse of T_w = T_s1 ... T_sk, T_sk^-1 ... T_s1^-1: one
+        inverse step per letter."""
         eid = w if isinstance(w, int) else self.group.id_of(w)
         got = self._inv_basis.get(eid)
         if got is None:
-            # T_s^{-1} = (T_s - qb) / qa, extended over a reduced word
-            inv_gen = {}
-            for i in range(self.group.rank):
-                gid = self.group.id_of(self.group.gens[i])
-                if self.convention == STD:
-                    inv_gen[i] = HeckeElement(self, {gid: _ONE, 0: _V - _VINV})
-                else:
-                    inv_gen[i] = HeckeElement(
-                        self, {gid: _VINV * _VINV, 0: _ONE - _VINV * _VINV}
-                    )
-            out = self.unit()
-            for i in reversed(self.group.words[eid]):
-                out = self.t_mul(out, inv_gen[i])
-            got = out
+            got = HeckeElement(self, self.steps(self.group.words[eid][::-1], {0: _ONE}, self._inv_steps))
             self._inv_basis[eid] = got
         return got
 
@@ -348,7 +358,8 @@ class HeckeAlgebra:
                 continue
             out[eid] = c
             for z, h in self.kl_basis(eid)._t.items():
-                rem[z] = rem.get(z, LaurentPoly.zero()) - c * h
+                y = rem.get(z)
+                rem[z] = -(c * h) if y is None else y - c * h
         assert all(p.is_zero for p in rem.values())
         return out
 
@@ -382,8 +393,11 @@ class HeckeAlgebra:
         return HeckeElement(self, out)
 
     def full_twist(self) -> HeckeElement:
-        tw0 = self.basis(self.group.longest_id)
-        return self.t_mul(tw0, tw0)
+        """T_w0^2, computed once per algebra."""
+        if self._twist is None:
+            tw0 = self.basis(self.group.longest_id)
+            self._twist = self.t_mul(tw0, tw0)
+        return self._twist
 
     def ic_e_coefficient(self, a: HeckeElement) -> LaurentPoly:
         """Coefficient of C_e when a is expanded in the KL basis."""
@@ -405,7 +419,8 @@ class HeckeAlgebra:
 
         The full twist T_w0^2 acts through the word of w0 twice: 2 l(w0)
         generator steps instead of a product over its |W| terms.  In ly it
-        is v^(2 l(w0)) T_w0^-2 in std, each step T_s^-1 = T_s + v - 1/v.
+        is v^(2 l(w0)) T_w0^-2 in std, each step T_s^-1 = T_s + v - 1/v
+        in one pass.
         """
         if z.algebra is not self:
             raise ConventionMismatch("element from another algebra")
@@ -419,21 +434,14 @@ class HeckeAlgebra:
                 got = lambda a: std.t_mul(zs, a)
             else:
                 g = self.group
-                letters = tuple(reversed(g.words[g.longest_id] * 2))
+                word = g.words[g.longest_id] * 2
                 ly = self.convention == LY
-                shift = 2 * g.lengths[g.longest_id]
+                shift = 2 * g.lengths[g.longest_id] if ly else 0
+                tables = std._inv_steps if ly else std._steps
 
                 def got(a: HeckeElement) -> HeckeElement:
-                    cur = a._t
-                    for s in letters:
-                        out = lmul_gen(g, s, cur, std._rules)
-                        if ly:
-                            for k, c in cur.items():
-                                out[k] = out.get(k, LaurentPoly.zero()) + _V_VINV * c
-                        cur = out
-                    if ly:
-                        cur = {k: c.shifted(shift) for k, c in cur.items()}
-                    return HeckeElement(std, cur)
+                    cur = std.steps(word, a._t, tables)
+                    return HeckeElement(std, {k: c.shifted(shift) for k, c in cur.items()})
 
             self._central[z] = got
         return got

@@ -28,8 +28,8 @@ independent in closed form and only the residuals are eliminated
 +-T_s maps each span{T_u 1_p, T_su 1_p} to itself, so Phi_s^2 - 1 is a sum
 of 2x2 blocks, solved pair by pair (``OrbitModule.solve_image``).  Each
 block builds its pair tables, its full-twist columns, the minimal
-polynomial mu_B of F on it and the free-span echelon once each, on first
-use.
+polynomial mu_B of F on it, its generators packed per Kronecker width and
+the free-span echelon once each, on first use.
 ``apply_generator``, ``apply_fulltwist`` and ``apply_twist_poly`` take
 one route (``KModule._apply_cleared``): they apply the operator over
 Z[v, v^-1] to D vec and divide back by D for Q(v) input, so each returns
@@ -405,15 +405,15 @@ class OrbitModule:
     use and once per block even across threads: the pair table of
     Phi_s^2 - 1 per s (``solve_image``), ``twist_cols``, F's minimal
     polynomial mu_B (``minpoly``), each twist polynomial reduced modulo it
-    (``twist_packed``) and the free-span echelon (``solve_free``).  ``pack``
-    proves the Kronecker width of every generator kernel; ``images``,
-    ``apply_packed`` and ``twist_packed`` work on the packed ints (module
-    docstring)."""
+    (``twist_packed``), the generators packed at each width (``pack``) and
+    the free-span echelon (``solve_free``).  ``pack`` proves the Kronecker
+    width of every generator kernel; ``images``, ``apply_packed`` and
+    ``twist_packed`` work on the packed ints (module docstring)."""
 
     def __init__(self, alg):
         self.alg = alg
         self.dim = alg.dim
-        self.gen_cols = [alg.columns(alg.pi_generator(s)) for s in range(alg.group.rank)]
+        self.gen_cols = [alg.columns((s,)) for s in range(alg.group.rank)]
         self.gen_norm = _gen_norm(self.gen_cols, self.dim)
         self._solvers: Dict[object, list] = {}
         self._solver_lock = threading.RLock()
@@ -432,8 +432,8 @@ class OrbitModule:
         parts (integral block vectors) under k generator steps, one k in
         steps per term: packed[i][r] = pack(parts[i][r], lo, b) at lo, the
         least exponent of parts (0 when all are zero), and gens[s] is Phi_s
-        packed at width b (``_packed_op``), so ``_sparse_step(gens[s], x)``
-        is Phi_s x at x's base.
+        packed at width b (``_packed_op``, cached per b), so
+        ``_sparse_step(gens[s], x)`` is Phi_s x at x's base.
 
         A generator step multiplies the largest coefficient of an integral
         vector by at most C (``gen_norm``), so the kernel's sum has
@@ -445,8 +445,12 @@ class OrbitModule:
         norm = max((abs(c) for part in parts for x in part for c in x._c.values()), default=0)
         b = (sum(self.gen_norm ** k for k in steps) * norm).bit_length() + 1
         lo = min((x.min_exp for part in parts for x in part if x), default=0)
-        gens = [self._packed_op(cols, b) for cols in self.gen_cols]
+        gens = self._solver(("gens", b), lambda: self._build_gens(b))
         return gens, [[pack(x, lo, b) for x in part] for part in parts], lo, b
+
+    def _build_gens(self, b: int) -> List[List[tuple]]:
+        """Every Phi_s packed at width b, the gens of ``pack``."""
+        return [self._packed_op(cols, b) for cols in self.gen_cols]
 
     def images(self, vec: List[int], gens) -> List[List[int]]:
         """Phi_z vec for every group element z, on packed ints (gens from
@@ -540,9 +544,9 @@ class OrbitModule:
 
     def _solver(self, key, build):
         """build(), cached under key and built once per block even across
-        threads: s for ``_build_pairs(s)``, "twist", "minpoly", ("mod", bp)
-        and "free" for the other builders.  The lock is reentrant, since a
-        builder may read another builder's result."""
+        threads: s for ``_build_pairs(s)``, "twist", "minpoly", ("mod", bp),
+        ("gens", b) and "free" for the other builders.  The lock is
+        reentrant, since a builder may read another builder's result."""
         with self._solver_lock:
             got = self._solvers.get(key)
             if got is None:

@@ -4,15 +4,17 @@ For one W-orbit o of character points, H_o carries orthogonal idempotents
 1_L, one per point, with T_w 1_L = 1_{wL} T_w and a per-block quadratic
 rule: T_s^2 1_L is the ly quadratic when s lies in the reflection subgroup
 of L, and plain 1_L otherwise.  Its elements are ``hecke.HeckeElement``s
-keyed (element id, point index); products run ``hecke.lmul_gen`` within one
-idempotent column, with LY_RULE or FREE_RULE per block.  The signed generators
+keyed (element id, point index); ``mul`` walks its left factor's words
+with the T_s step tables of ``_BlockSteps``.  The signed generators
 
     a_s = sum over blocks of (+T_s 1_L if s in W_L, else -T_s 1_L)
 
 generate, across a configured family of orbits, the algebra this module
 exposes: elements are stored extensionally through their per-orbit
 projections, which is faithful because the product of all projections is
-injective on the generated algebra.
+injective on the generated algebra.  Every product that is a word in the
+a_s runs one ``hecke.lmul_gen`` step per letter (``OrbitAlgebra.steps``),
+on a table that also folds in the sign of a_s.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .charpoints import OrbitData, orbit_set
-from .hecke import FREE_RULE, LY, LY_RULE, HeckeElement, hecke_algebra, lmul_gen, word_label
+from .hecke import FREE_RULE, LY, LY_RULE, HeckeElement, hecke_algebra, lmul_gen, step_table, word_label
 from .linalg import bivar_divides, lcm_x, minpoly_operator, sparse_operator
 from .rings import (
     BivarPoly,
@@ -32,6 +34,9 @@ from .rings import (
 
 _ONE = LaurentPoly.one()
 _V2 = LaurentPoly.monomial(2)
+# a_s = -T_s on a block whose W_L does not contain s, where T_s^2 = 1
+_NEG = (LaurentPoly.__neg__, None)
+SIGNED_FREE_RULE = (_NEG, _NEG)
 
 
 class OrbitMismatch(ValueError):
@@ -63,6 +68,21 @@ class OrbitHeckeElement(HeckeElement):
         )
 
 
+class _BlockSteps(dict):
+    """{(u, m): ((su, m), qa, qb)}, each entry made on first lookup: T_u 1_m
+    lands in the block u m, whose rule is ``on`` (LY_RULE) when s lies in
+    its W_L and ``off`` otherwise, both ``hecke.step_table``s of s."""
+
+    def __init__(self, on, off, in_wl, moved):
+        self.on, self.off, self.in_wl, self.moved = on, off, in_wl, moved
+
+    def __missing__(self, key):
+        u, m = key
+        j, qa, qb = (self.on if self.in_wl[self.moved[u][m]] else self.off)[u]
+        got = self[key] = ((j, m), qa, qb)
+        return got
+
+
 class OrbitAlgebra:
     """H_o for one orbit: idempotent-decomposed Hecke module over W."""
 
@@ -81,15 +101,11 @@ class OrbitAlgebra:
             gm = orb.gen_move[s]
             moved.append([gm[q] for q in moved[W.lmul_id(s, eid)]])
         self._moved = moved
-        # rules[pidx][s][eid]: the quadratic rule of T_s on T_eid 1_L, that
-        # of the block w L where T_eid 1_L lands
-        self._rules = [
-            [
-                [LY_RULE if self._in_wl[s][at[pidx]] else FREE_RULE for at in moved]
-                for s in range(W.rank)
-            ]
-            for pidx in range(npts)
-        ]
+        # step tables per s, of T_s for ``mul`` and of a_s for ``steps``
+        self._t_steps, self._a_steps = (
+            [_BlockSteps(step_table(W, s, LY_RULE), step_table(W, s, off), self._in_wl[s], moved) for s in range(W.rank)]
+            for off in (FREE_RULE, SIGNED_FREE_RULE)
+        )
 
     def __repr__(self):
         return "OrbitHecke"
@@ -128,6 +144,14 @@ class OrbitAlgebra:
         pidx = point if isinstance(point, int) else self.orbit.index_of(point)
         return self._moved[eid][pidx]
 
+    def steps(self, word: Sequence[int], el: OrbitHeckeElement) -> OrbitHeckeElement:
+        """a_word el for a word in the signed generators, the last letter
+        acting first, one ``lmul_gen`` step per letter."""
+        cur = el._t
+        for s in reversed(word):
+            cur = lmul_gen(self._a_steps[s], cur)
+        return OrbitHeckeElement(self, cur)
+
     def mul(self, a: OrbitHeckeElement, b: OrbitHeckeElement) -> OrbitHeckeElement:
         if a.algebra is not self or b.algebra is not self:
             raise OrbitMismatch("operands belong to another orbit algebra")
@@ -136,26 +160,25 @@ class OrbitAlgebra:
         by_point: Dict[int, List[Tuple[int, LaurentPoly]]] = {}
         for (eid, pidx), c in a._t.items():
             by_point.setdefault(pidx, []).append((eid, c))
-        # within the column of 1_m the point index stays fixed
         acc: Dict[Tuple[int, int], LaurentPoly] = {}
         for (u, m), cb in b._t.items():
-            rules = self._rules[m]
             for eid, ca in by_point.get(self._moved[u][m], ()):
-                cur = {u: cb}
+                cur = {(u, m): cb}
                 for s in reversed(g.words[eid]):
-                    cur = lmul_gen(g, s, cur, rules[s])
+                    cur = lmul_gen(self._t_steps[s], cur)
                 for k, p in cur.items():
-                    acc[(k, m)] = acc.get((k, m), LaurentPoly.zero()) + ca * p
+                    y = acc.get(k)
+                    acc[k] = ca * p if y is None else y + ca * p
         return OrbitHeckeElement(self, acc)
 
-    def columns(self, el: OrbitHeckeElement) -> List[List[Tuple[int, LaurentPoly]]]:
+    def columns(self, el) -> List[List[Tuple[int, LaurentPoly]]]:
         """Sparse columns of left multiplication by el: column flat_index(eid,
-        pidx) lists (flat row, coeff) of el T_eid 1_pidx in ascending row."""
+        pidx) lists (flat row, coeff) of el T_eid 1_pidx in ascending row.
+        el is an element, or a tuple word in the signed generators applied
+        by ``steps``."""
+        image = (lambda x: self.steps(el, x)) if isinstance(el, tuple) else (lambda x: self.mul(el, x))
         return [
-            [
-                (self.flat_index(e, p), c)
-                for (e, p), c in sorted(self.mul(el, self.basis(eid, pidx))._t.items())
-            ]
+            [(self.flat_index(e, p), c) for (e, p), c in sorted(image(self.basis(eid, pidx))._t.items())]
             for eid in range(self.group.size)
             for pidx in range(self.orbit.size)
         ]
@@ -169,12 +192,8 @@ class OrbitAlgebra:
         return OrbitHeckeElement(self, terms)
 
     def full_twist(self) -> OrbitHeckeElement:
-        """Projection of F = a_w0^2: the generators along w0's word, twice,
-        multiplied in from the right end as in ``KLAlgebra.element``."""
-        out = self.unit()
-        for s in reversed(self.group.words[self.group.longest_id] * 2):
-            out = self.mul(self.pi_generator(s), out)
-        return out
+        """Projection of F = a_w0^2: the steps along w0's word, twice."""
+        return self.steps(self.group.words[self.group.longest_id] * 2, self.unit())
 
     def flat_index(self, eid: int, pidx: int) -> int:
         return eid * self.orbit.size + pidx
@@ -269,11 +288,8 @@ class KLAlgebra:
         return KLElement(self, (s,), self._gens[s])
 
     def element(self, word: Iterable[int]) -> KLElement:
-        # right to left: mul expands its left factor along each term's word
-        out = self.unit()
-        for s in reversed(tuple(word)):
-            out = self.mul(self.generator(s), out)
-        return out
+        word = tuple(word)
+        return KLElement(self, word, (alg.steps(word, alg.unit()) for alg in self.algebras))
 
     def element_of(self, w) -> KLElement:
         """a_w evaluated along the canonical word of w."""
@@ -299,8 +315,8 @@ class KLAlgebra:
         """(a_s + v^2)(a_s^2 - 1) = 0 per orbit."""
         out = []
         for alg, g in zip(self.algebras, self._gens[s]):
-            one = alg.unit()
-            expr = alg.mul(g + one.scale(_V2), alg.mul(g, g) - one)
+            d = alg.steps((s,), g) - alg.unit()
+            expr = alg.steps((s,), d) + d.scale(_V2)
             out.append(
                 _report(
                     "cubic",
@@ -317,8 +333,9 @@ class KLAlgebra:
         v4_minus_1 = LaurentPoly.monomial(4) - _ONE
         out = []
         for alg, g in zip(self.algebras, self._gens[s]):
-            d = alg.mul(g, g) - alg.unit()
-            diff = alg.mul(d, d) - d.scale(v4_minus_1)
+            # d = a_s^2 - 1, so d d = a_s (a_s d) - d
+            d = alg.steps((s,), g) - alg.unit()
+            diff = alg.steps((s, s), d) - d - d.scale(v4_minus_1)
             out.append(
                 _report(
                     "operator_square",
@@ -337,10 +354,8 @@ class KLAlgebra:
         for i in range(W.rank):
             for j in range(i + 1, W.rank):
                 m = _pair_order(W, i, j)
-                left = right = self.unit()
-                for k in range(m):
-                    left = self.mul(left, self.generator(i if k % 2 == 0 else j))
-                    right = self.mul(right, self.generator(j if k % 2 == 0 else i))
+                left = self.element(((i, j) * m)[:m])
+                right = self.element(((j, i) * m)[:m])
                 for alg, x, y in zip(self.algebras, left.projections, right.projections):
                     ok = x == y
                     out.append(
@@ -382,13 +397,9 @@ class KLAlgebra:
         out = []
         for alg, proj in zip(self.algebras, z.projections):
             for pidx, point in enumerate(alg.orbit.points):
-                sub = alg.orbit.stabilizers[point]
-                H = hecke_algebra(sub.group, LY)
-                top = H.basis(sub.group.longest_id)
-                sq = H.t_mul(top, top)
-                expected: Dict[Tuple[int, int], LaurentPoly] = {}
-                for handle, c in sq.terms.items():
-                    expected[(self.group.id_of(handle), pidx)] = c
+                # T_w0^2 is cached per subsystem carrier, shared by its points
+                sq = hecke_algebra(alg.orbit.stabilizers[point].group, LY).full_twist()
+                expected = {(self.group.id_of(h), pidx): c for h, c in sq.terms.items()}
                 got = proj.column(pidx)
                 ok = got == OrbitHeckeElement(alg, expected)
                 out.append(

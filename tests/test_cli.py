@@ -405,6 +405,24 @@ PINNED_OUTPUT_SHA256 = {
     "verify minpoly --type A3 --den 2 --json": "b97bf56de0dc264df58a6c62720069ce247ee01e50ac6b7ced403d191587561d",
     "verify minpoly --type B2 --m 3": "f2003c8a41961008d2ae04c75a26f9e1908b2a8385cc0fb1d6015ee3b699c437",
     "verify minpoly --type B2 --m 3 --json": "3c00677bbddf30f7c85b8ba95b05adfe732f8382d24c9b2348fb840c93ced105",
+    "verify braid --type B2": "3ca02d91956bedc00b0ae0445c68eb0a7f2ea596b995e98b444139820599f869",
+    "verify braid --type B2 --json": "306614203367c549f44b0d5a91585b9c75f6992d9cfe7fb763c6b593f72cbab4",
+    "verify braid --type G2": "d587e006bf4895511c4d06c4226a6ab2f3a8cd21268a166e26a3d4454608e29c",
+    "verify braid --type G2 --json": "fc619777edb0e31b7c87e2eb15c9bdd56b288a9996503022af86868d194b1751",
+    "verify braid --type A3": "376f76ce79d2c97f2e5e361be9bf349fd91d16d9d1cc2ecfe942109690035a28",
+    "verify braid --type A3 --json": "ce3e0af37cf122c1c7f14c9624753aa9b1746a25e64a5a01c29da60919afbd9a",
+    "verify cubic --type B2": "6ad1786d9429f4719bd474abd3ed015e163a0878af459af9f5937cd591f7675a",
+    "verify cubic --type B2 --json": "dae38ae099353163a7f3ef84345a93d4246a3aff005c103242b08d9ae1749608",
+    "verify cubic --type G2": "feda6bd9eaafe8fef5c3043e4e5df335ba49a0b17ae0ef55d33fb7ba1345d3dd",
+    "verify cubic --type G2 --json": "8d4a8fadcfa27c42e8bc433a1615b5b323fc0fd318f6fc883daf70851bb97847",
+    "verify cubic --type A3": "966338811cba4ea1aa350a89f992d41f61aab0ebeca01b501247d584712bff89",
+    "verify cubic --type A3 --json": "1c2211a4b4933da9bfed936973d4adb373b36611e62766bda60607796b383570",
+    "verify w0 --type B2": "1c9d0c397b05511e659afd8633be866a469efe6ee1e873e4f8841fecd1da62f4",
+    "verify w0 --type B2 --json": "2aeb9e3d5867c3e4d83563e3f82e53e04901a3ff391a032093ce8a09ed032571",
+    "verify w0 --type G2": "27db2b46087782af4dfa9b6a16c091746d724436d1820a6ad94a591459768bcb",
+    "verify w0 --type G2 --json": "8401fff83e202e473fcd201d6c2b3797e5de80748ed306ca7aac1f02647c75a7",
+    "verify w0 --type A3": "ff224884bc556e7a8a16a62cc4a82fe0060657cd2cb3f3ed6bad1b41ef0b1913",
+    "verify w0 --type A3 --json": "7db687e2579a5c6d95d49ecd55ff02e0d5832d7690a6faaeb77e01a130139b35",
 }
 
 

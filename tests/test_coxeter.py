@@ -84,6 +84,20 @@ def test_group_axioms_random():
         assert (a * b).inv() == b.inv() * a.inv()
 
 
+@pytest.mark.parametrize("cartan_type", ["A1", "A2", "A3", "B2", "G2"])
+def test_mul_id_table_matches_permutation_composition(cartan_type):
+    # mul_id reads rows built on first use; every pair must compose the
+    # root permutations, (ab)(k) = a(b(k)), and agree with the generator tables
+    W = build_weyl(cartan_type)
+    for a, pa in enumerate(W.perms):
+        for b, pb in enumerate(W.perms):
+            assert W.perms[W.mul_id(a, b)] == tuple(pa[pb[k]] for k in range(len(pa)))
+    for i, g in enumerate(W.gens):
+        for b in range(W.size):
+            assert W.mul_id(g.eid, b) == W.lmul_id(i, b)
+            assert W.mul_id(b, g.eid) == W.rmul_id(b, i)
+
+
 def test_length_is_inversion_count():
     for t in ["A3", "B2", "G2"]:
         W = build_weyl(t)

@@ -5,12 +5,17 @@ import pytest
 
 from klwb.coxeter import build_weyl
 from klwb.hecke import (
+    INV_STD_RULE,
     LY,
     STD,
+    STD_RULE,
     ConventionMismatch,
+    HeckeElement,
     NotCentral,
     convert_convention,
     hecke_algebra,
+    lmul_gen,
+    step_table,
 )
 from klwb.rings import BivarPoly, LaurentPoly
 
@@ -358,6 +363,41 @@ def test_central_action_matches_the_product():
                 for x in range(W.size):
                     cx = H.kl_basis(x)
                     assert act(cx) == H.t_mul(zs, cx), (t, alg, x)
+
+
+@pytest.mark.parametrize("cartan_type", ["A3", "G2"])
+def test_inverse_step_is_one_pass(cartan_type):
+    # the ly full twist steps by T_s^-1 = T_s + v - 1/v in std in one pass
+    # (INV_STD_RULE): T_sw on a descent, T_sw + (v - 1/v) T_w on an ascent.
+    # It equals the T_s step plus a (v - 1/v) pass over every term, and the
+    # T_s step undoes it.
+    W = build_weyl(cartan_type)
+    H = hecke_algebra(W, STD)
+    rng = random.Random(20261020)
+    v_vinv = lp({1: 1, -1: -1})
+    for _ in range(6):
+        terms = {
+            rng.randrange(W.size): lp({rng.randrange(-3, 4): rng.choice([-2, -1, 1, 3]), rng.randrange(-3, 4): 1})
+            for _ in range(rng.randrange(1, W.size))
+        }
+        for s in range(W.rank):
+            got = lmul_gen(step_table(W, s, INV_STD_RULE), terms)
+            want = lmul_gen(step_table(W, s, STD_RULE), terms)
+            for k, c in terms.items():
+                want[k] = want.get(k, LaurentPoly.zero()) + v_vinv * c
+            assert HeckeElement(H, got) == HeckeElement(H, want)
+            back = lmul_gen(step_table(W, s, STD_RULE), got)
+            assert HeckeElement(H, back) == HeckeElement(H, terms)
+
+
+def test_full_twist_cached_per_algebra():
+    W = build_weyl("B2")
+    for conv in (STD, LY):
+        H = hecke_algebra(W, conv)
+        z = H.full_twist()
+        assert H.full_twist() is z
+        top = H.basis(W.longest_id)
+        assert z == H.t_mul(top, top)
 
 
 def test_cell_scalar_rejects_noncentral():

@@ -1243,12 +1243,13 @@ def test_solver_built_once_under_concurrent_gluing_checks(monkeypatch):
     # the cli runs serially, but library callers may share a module between
     # threads: each cached builder (the pair table of Phi_s^2 - 1 per s, the
     # twist columns, the minimal polynomial of F and each polynomial reduced
-    # by it, the free-span echelon) must still run exactly once per block.
+    # by it, the generators packed per width, the free-span echelon) must
+    # still run exactly once per block.
     # Builders nest (a reduced polynomial reads the minimal polynomial, which
     # reads the twist columns), so a non-reentrant lock would deadlock: the
     # threads are daemons joined against one deadline, and a deadlock fails
     builds = []
-    for name in ("_build_pairs", "_build_twist", "_build_minpoly", "_build_mod", "_build_free_solver"):
+    for name in ("_build_pairs", "_build_twist", "_build_minpoly", "_build_mod", "_build_gens", "_build_free_solver"):
 
         def counted(self, *args, orig=getattr(OrbitModule, name), name=name):
             builds.append((id(self), name) + args)
@@ -1301,9 +1302,20 @@ def test_solver_built_once_under_concurrent_gluing_checks(monkeypatch):
             if isinstance(key, int):
                 want.append((id(blk), "_build_pairs", key))
             elif isinstance(key, tuple):
-                want.append((id(blk), "_build_mod", key[1]))
+                want.append((id(blk), {"mod": "_build_mod", "gens": "_build_gens"}[key[0]], key[1]))
             else:
                 want.append((id(blk), {"twist": "_build_twist", "minpoly": "_build_minpoly", "free": "_build_free_solver"}[key]))
     assert all(blk._solvers.keys() >= {"twist", "minpoly"} for blk in M.blocks)
     assert all("free" in blk._solvers for blk in N.blocks)
     assert sorted(builds, key=repr) == sorted(want, key=repr)
+
+
+@pytest.mark.parametrize("t, den", [("A1", 6), ("A2", 6), ("B2", 6), ("G2", 6), ("A3", 2)])
+def test_step_columns_match_generator_columns(t, den):
+    # Phi_s's columns, one step per basis element, equal those of the
+    # general product with pi_generator(s)
+    kl = KLAlgebra.for_type(t, den)
+    for alg in kl.algebras:
+        blk = OrbitModule(alg)
+        for s in range(kl.group.rank):
+            assert blk.gen_cols[s] == alg.columns(alg.pi_generator(s))

@@ -5,8 +5,8 @@ import pytest
 from klwb import klalgebra, linalg
 from klwb.charpoints import CharacterPoint, orbit, orbit_set, parse_point
 from klwb.coxeter import build_weyl
-from klwb.hecke import LY, hecke_algebra
-from klwb.klalgebra import KLAlgebra, OrbitAlgebra, OrbitMismatch
+from klwb.hecke import LY, HeckeAlgebra, hecke_algebra
+from klwb.klalgebra import KLAlgebra, OrbitAlgebra, OrbitHeckeElement, OrbitMismatch
 from klwb.rings import BivarPoly, LaurentPoly, divmod_x
 
 
@@ -332,3 +332,89 @@ def test_trivial_orbit_is_ly_hecke_algebra(cartan_type):
             got = alg.mul(alg.basis(x, 0), alg.basis(y, 0))
             want = H.t_mul(H.basis(x), H.basis(y))
             assert got.terms == {(w, point): c for w, c in want.terms.items()}
+
+
+# orbits on which the generator step is checked against independent products
+STEP_CASES = [("A1", 6), ("A2", 6), ("B2", 6), ("G2", 6), ("A3", 2)]
+
+
+def _random_element(alg, rng, terms=6):
+    out = {}
+    for _ in range(terms):
+        key = (rng.randrange(alg.group.size), rng.randrange(alg.orbit.size))
+        out[key] = lp({rng.randrange(-3, 4): rng.choice([-2, -1, 1, 3]), rng.randrange(-3, 4): 1})
+    return OrbitHeckeElement(alg, out)
+
+
+def _reference_step(alg, s, x):
+    """a_s x from the definitions: a_s T_u 1_m = +-T_s T_u 1_m, + when s lies
+    in W_L for the block L = u m where T_u 1_m lands; there (T_s - 1)(T_s +
+    v^2) = 0, elsewhere T_s^2 = 1."""
+    W = alg.group
+    v2 = lp({2: 1})
+    out = alg.zero()
+    for (u, m), c in x._t.items():
+        su = W.lmul_id(s, u)
+        if not alg.orbit.simple_kernel[s][alg.moved_point(u, m)]:
+            out = out - alg.basis(su, m).scale(c)
+        elif W.lengths[su] > W.lengths[u]:
+            out = out + alg.basis(su, m).scale(c)
+        else:
+            out = out + alg.basis(su, m).scale(v2 * c) + alg.basis(u, m).scale((1 - v2) * c)
+    return out
+
+
+@pytest.mark.parametrize("t, den", STEP_CASES)
+def test_step_matches_generator_product(t, den):
+    # one table step is a_s x: the general product with pi_generator(s), which
+    # walks the unsigned T_s tables, and the definitions agree with it
+    rng = random.Random(20261020)
+    kl = KLAlgebra.for_type(t, den)
+    for alg in kl.algebras:
+        for s in range(kl.group.rank):
+            for _ in range(2):
+                x = _random_element(alg, rng)
+                got = alg.steps((s,), x)
+                assert got == alg.mul(alg.pi_generator(s), x), (t, alg.orbit.representative, s)
+                assert got == _reference_step(alg, s, x), (t, alg.orbit.representative, s)
+
+
+def test_full_twist_and_braid_sides_match_product_chains():
+    # the step chains equal the products they replaced: the full twist as
+    # pi_generator products along w0's word twice, and each braid side as
+    # generators multiplied in from the right
+    for t, den in (("A2", 6), ("B2", 6), ("G2", 6), ("A3", 2)):
+        kl = KLAlgebra.for_type(t, den)
+        W = kl.group
+        word = W.words[W.longest_id] * 2
+        for alg in kl.algebras:
+            chain = alg.unit()
+            for s in reversed(word):
+                chain = alg.mul(alg.pi_generator(s), chain)
+            assert alg.full_twist() == chain
+        for i in range(W.rank):
+            for j in range(i + 1, W.rank):
+                m = klalgebra._pair_order(W, i, j)
+                for a, b in ((i, j), (j, i)):
+                    chain = kl.unit()
+                    for k in range(m):
+                        chain = kl.mul(chain, kl.generator(a if k % 2 == 0 else b))
+                    assert kl.element(((a, b) * m)[:m]) == chain
+
+
+def test_w0_identity_squares_once_per_stabilizer(monkeypatch):
+    # T_w0^2 of a stabilizer's Hecke algebra is computed once, however many
+    # points share that stabilizer
+    calls = []
+    orig = HeckeAlgebra.t_mul
+
+    def counted(self, a, b):
+        calls.append(id(self.group))
+        return orig(self, a, b)
+
+    monkeypatch.setattr(HeckeAlgebra, "t_mul", counted)
+    kl = KLAlgebra.for_type("A3", 6)
+    assert all(r["status"] == "pass" for r in kl.check_w0_identity())
+    groups = {id(o.stabilizers[p].group) for o in kl.orbits for p in o.points}
+    assert sum(o.size for o in kl.orbits) > len(groups)
+    assert sorted(calls) == sorted(groups)
