@@ -78,7 +78,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .klalgebra import KLAlgebra
-from .linalg import minpoly_operator, sparse_operator
+from .linalg import DegreeBoundExceeded, minpoly_operator, sparse_operator
 from .rings import (
     BivarPoly,
     LaurentPoly,
@@ -528,9 +528,15 @@ class OrbitModule:
         the leading coefficient not a unit, ``divmod_x`` would raise
         NonUnitLeadingCoefficient.  IdentityFailure unless mu_B(F) e_j = 0
         for every basis vector e_j, decided on packed ints at the width of
-        the norm bound for unit vectors."""
+        the norm bound for unit vectors, and also when mu_B passes x-degree
+        2 l(w0) + 1: mu_B divides prod(x - v^2i, i <= 2 l(w0)) (``verify
+        minpoly``), so a longer one comes from a wrong F."""
         n = self.dim
-        mu = minpoly_operator(sparse_operator(self.twist_cols, n), n)
+        g = self.alg.group
+        try:
+            mu = minpoly_operator(sparse_operator(self.twist_cols, n), n, 2 * g.lengths[g.longest_id] + 1)
+        except DegreeBoundExceeded as e:
+            raise IdentityFailure("full twist's %s" % e) from e
         packed, b = self._packed_twist(mu, [1] * n)
         for j in range(n):
             acc, _ = _horner(packed, mu, b, [int(i == j) for i in range(n)])
@@ -719,8 +725,8 @@ class KModule:
         self.dim = sum(blk.dim for blk in self.blocks)
 
     @classmethod
-    def for_type(cls, cartan_type: str, den_bound: int = 6) -> "KModule":
-        return cls(KLAlgebra.for_type(cartan_type, den_bound))
+    def for_type(cls, cartan_type_or_group, den_bound: int = 6) -> "KModule":
+        return cls(KLAlgebra.for_type(cartan_type_or_group, den_bound))
 
     def _parts(self, vecs):
         """(start, block, [vec on the block for vec in vecs]) per block: the one

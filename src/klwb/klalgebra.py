@@ -417,13 +417,16 @@ class KLAlgebra:
     def fulltwist_minpoly(self) -> Tuple[BivarPoly, Dict[str, bool]]:
         """Minimal polynomial of left multiplication by a_{w0}^2 on the sum
         of all configured orbit modules, with divisibility verdicts against
-        the x - v^2i families for m = l(w0) and m = 2 l(w0)."""
+        the x - v^2i families for m = l(w0) and m = 2 l(w0).  A block whose
+        minimal polynomial passes x-degree 2 l(w0) + 1, the degree of the
+        m = 2 l(w0) family, raises DegreeBoundExceeded: it cannot divide
+        that family, and its Krylov runs stop there."""
         z = self.full_twist()
+        lw0 = self.group.lengths[self.group.longest_id]
         mp = BivarPoly.const(1)
         for alg, proj in zip(self.algebras, z.projections):
             apply = sparse_operator(alg.columns(proj), alg.dim)
-            mp = lcm_x(mp, minpoly_operator(apply, alg.dim))
-        lw0 = self.group.lengths[self.group.longest_id]
+            mp = lcm_x(mp, minpoly_operator(apply, alg.dim, 2 * lw0 + 1))
         verdicts = {
             "paper": bivar_divides(mp, annihilator_family(lw0)),
             "safe": bivar_divides(mp, annihilator_family(2 * lw0)),

@@ -23,6 +23,10 @@ from typing import Callable, List, Optional, Sequence
 from .rings import QV_ZERO, BivarPoly, LaurentPoly, Qv, divmod_x, gcd_laurent
 
 
+class DegreeBoundExceeded(ArithmeticError):
+    """A minimal polynomial passed the x-degree its caller proved for it."""
+
+
 def solve_linear(rows: Sequence[Sequence[Qv]], rhs: Sequence[Qv]) -> Optional[List[Qv]]:
     """One exact solution of A x = b, or None when inconsistent.
 
@@ -116,17 +120,19 @@ def _primitive(cs: Sequence[LaurentPoly]) -> BivarPoly:
     return BivarPoly([c.shifted(-shift) * sign for c in cs])
 
 
-def _krylov_annihilator(apply_fn, vec: List[LaurentPoly]) -> BivarPoly:
-    """Primitive minimal polynomial killing vec under the operator.
+def _krylov_annihilator(apply_fn, vec: List[LaurentPoly], limit: int) -> Optional[BivarPoly]:
+    """Primitive minimal polynomial killing vec under the operator, or None
+    when its x-degree passes limit (at most len(vec)).
 
     Fraction-free: a row (piv, r, comp, d) has r = comp(A) vec, r[piv] = d
     and comp padded to degree dim.  The final comp is a Z[v, v^-1] multiple
-    of the monic annihilator; its primitive form is returned.
+    of the monic annihilator; its primitive form is returned.  The run
+    stops after limit + 1 independent vectors A^k vec.
     """
     dim = len(vec)
     rows = []
     cur = list(vec)
-    for k in range(dim + 1):
+    for k in range(limit + 1):
         comp = [LaurentPoly.zero()] * (dim + 1)
         comp[k] = LaurentPoly.one()
         r, comp, _ = reduce_pair(cur, comp, rows)
@@ -135,7 +141,7 @@ def _krylov_annihilator(apply_fn, vec: List[LaurentPoly]) -> BivarPoly:
             return _primitive(comp)
         rows.append(row)
         cur = apply_fn(cur)
-    raise AssertionError("Krylov space exceeds the dimension")
+    return None
 
 
 def sparse_operator(cols, dim: int) -> Callable[[list], list]:
@@ -152,7 +158,7 @@ def sparse_operator(cols, dim: int) -> Callable[[list], list]:
     return apply
 
 
-def minpoly_operator(apply_fn: Callable[[list], list], dim: int) -> BivarPoly:
+def minpoly_operator(apply_fn: Callable[[list], list], dim: int, max_degree: Optional[int] = None) -> BivarPoly:
     """Minimal polynomial of a linear operator given by its action on vectors.
 
     The operator acts on vectors over Z[v, v^-1]; the result is primitive
@@ -162,7 +168,12 @@ def minpoly_operator(apply_fn: Callable[[list], list], dim: int) -> BivarPoly:
     of deg m operator steps, is zero when ann(e_i) divides m already, so
     e_i is then skipped.  A product of primitive polynomials is primitive
     (Gauss's lemma), so m needs no normalization.
+
+    With max_degree, DegreeBoundExceeded as soon as m would pass that
+    x-degree: the Krylov run that would take it past stops there, so a
+    wrong operator costs about max_degree steps per vector, not dim.
     """
+    top = dim if max_degree is None else min(max_degree, dim)
     m = BivarPoly.const(1)
     for i in range(dim):
         u = [LaurentPoly.zero()] * dim
@@ -171,7 +182,10 @@ def minpoly_operator(apply_fn: Callable[[list], list], dim: int) -> BivarPoly:
             u = apply_fn(u)
             u[i] = u[i] + c
         if any(u):
-            m = m * _krylov_annihilator(apply_fn, u)
+            ann = _krylov_annihilator(apply_fn, u, top - m.degree)
+            if ann is None:
+                raise DegreeBoundExceeded("minimal polynomial passes x-degree %d" % top)
+            m = m * ann
             if m.degree == dim:
                 break
     return m
@@ -189,7 +203,7 @@ def lcm_x(a: BivarPoly, b: BivarPoly) -> BivarPoly:
     x = BivarPoly.x_minus(LaurentPoly.zero())
     cols = [[(k, c) for k, c in enumerate(divmod_x(x ** (j + 1), b)[1].xcoeffs) if c] for j in range(d)]
     rem = list(divmod_x(a, b)[1].xcoeffs)
-    return a * _krylov_annihilator(sparse_operator(cols, d), rem + [LaurentPoly.zero()] * (d - len(rem)))
+    return a * _krylov_annihilator(sparse_operator(cols, d), rem + [LaurentPoly.zero()] * (d - len(rem)), d)
 
 
 def bivar_divides(d: BivarPoly, f: BivarPoly) -> bool:

@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
-from klwb import charpoints, cli
+from klwb import charpoints, cli, klalgebra
 from klwb.cli import RunConfig, ConfigError, main
-from klwb.coxeter import UnsupportedType, build_weyl
+from klwb.coxeter import UnsupportedType, WeylGroup, build_weyl
 from klwb.k0model import OrbitModule
+from klwb.linalg import sparse_operator
+from klwb.rings import LaurentPoly
 
 
 def run(capsys, *args):
@@ -107,6 +109,20 @@ def test_json_schema_and_minpoly_finding(capsys):
     byname = {r["check"]: r for r in doc["results"]}
     assert byname["minpoly"]["status"] == "pass"
     assert byname["minpoly_range"]["status"] == "finding"
+
+
+def test_minpoly_past_the_degree_bound_is_a_failure(capsys, monkeypatch):
+    # a wrong full twist, here the nilpotent shift on every block, has a
+    # minimal polynomial x^4 on A1's 4-dim blocks, past x-degree 2 l(w0) + 1
+    def shift(cols, dim):
+        return sparse_operator([[(j + 1, LaurentPoly.one())] if j + 1 < dim else [] for j in range(dim)], dim)
+
+    monkeypatch.setattr(klalgebra, "sparse_operator", shift)
+    rc, out = run(capsys, "verify", "minpoly", "--type", "A1", "--json")
+    assert rc == 1 and out.err == ""
+    (entry,) = json.loads(out.out)["results"]
+    assert entry["check"] == "minpoly" and entry["status"] == "fail"
+    assert entry["detail"] == "minimal polynomial passes x-degree 3; it cannot divide prod(x - v^2i, i <= 2)"
 
 
 def test_minpoly_configured_integer_range(capsys):
@@ -239,6 +255,63 @@ def test_gluing_builds_each_solver_once_across_threads(capsys, monkeypatch):
         sys.setswitchinterval(interval)
     assert per_threads["1"] == per_threads["2"] == per_threads["4"]
     assert len(set(builds)) == len(builds) > 0
+
+
+def test_one_process_builds_each_group_once(capsys, monkeypatch):
+    cli._weyl.cache_clear()
+    inits, pairs = [], []
+    orig_init, orig_pairs = WeylGroup.__init__, OrbitModule._build_pairs
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(1)
+        orig_init(self, *args, **kwargs)
+
+    def counted_pairs(self, s):
+        pairs.append(s)
+        return orig_pairs(self, s)
+
+    monkeypatch.setattr(WeylGroup, "__init__", counted_init)
+    monkeypatch.setattr(OrbitModule, "_build_pairs", counted_pairs)
+    gluing = []
+    for argv in (("verify", "braid"), ("verify", "cells"), ("dump", "cells"), ("dump", "qpoly"),
+                 ("verify", "gluing"), ("verify", "gluing")):
+        pairs.clear()
+        assert run(capsys, *argv, "--type", "A2")[0] == 0
+        if argv[1] == "gluing":
+            gluing.append(sorted(pairs))
+    assert len(inits) == 1
+    assert cli._weyl.cache_info().misses == 1
+    # the modules, and their solver caches, are still built per command
+    assert gluing[0] == gluing[1] != []
+    # a failed build is not kept: an unsupported type exits 2 every time
+    for _ in range(2):
+        assert run(capsys, "verify", "braid", "--type", "Q7")[0] == 2
+    assert cli._weyl.cache_info().currsize == 1
+
+
+# the A2 and B2 commands of a perfbench cli round at the default seed: every
+# verify suite but polyconj, every dump table and specialize 3
+ROUND = [
+    (kind, what, "--type", t) + fmt
+    for t in ("A2", "B2")
+    for kind, names in (
+        ("verify", [s for s in cli.VERIFY_SUITES if s != "polyconj"]),
+        ("dump", cli.DUMP_TABLES),
+        ("specialize", ["3"]),
+    )
+    for what in names
+    for fmt in ((), ("--json",))
+]
+
+
+def test_reports_do_not_depend_on_command_order(capsys):
+    fresh = {}
+    for argv in ROUND:
+        cli._weyl.cache_clear()
+        fresh[argv] = run(capsys, *argv)
+    cli._weyl.cache_clear()
+    for argv in ROUND + ROUND[::-1]:
+        assert run(capsys, *argv) == fresh[argv], argv
 
 
 def test_specialize_values(capsys):

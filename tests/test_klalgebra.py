@@ -247,14 +247,14 @@ def test_fulltwist_minpoly_runs_one_krylov_sequence_per_block(t, monkeypatch):
     orig_krylov = linalg._krylov_annihilator
     orig_minpoly = klalgebra.minpoly_operator
 
-    def counted(apply_fn, vec):
+    def counted(apply_fn, vec, limit):
         if inside:
             calls.append(len(vec))
-        return orig_krylov(apply_fn, vec)
+        return orig_krylov(apply_fn, vec, limit)
 
-    def minpoly(apply_fn, dim):
+    def minpoly(apply_fn, dim, max_degree):
         inside.append(dim)
-        out = orig_minpoly(apply_fn, dim)
+        out = orig_minpoly(apply_fn, dim, max_degree)
         inside.pop()
         return out
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klwb.linalg import lcm_x, minpoly_operator, sparse_operator
+from klwb.linalg import DegreeBoundExceeded, lcm_x, minpoly_operator, sparse_operator
 from klwb.rings import BivarPoly, LaurentPoly, NonUnitLeadingCoefficient
 
 
@@ -37,6 +37,29 @@ def test_minpoly_operator_overlapping_annihilators():
 
 def test_minpoly_operator_of_zero_dimension():
     assert minpoly_operator(lambda vec: vec, 0) == BivarPoly.const(1)
+
+
+def shift_operator(n):
+    # the nilpotent shift e_j -> e_{j+1}, whose minimal polynomial is x^n
+    return sparse_operator([[(j + 1, LaurentPoly.one())] if j + 1 < n else [] for j in range(n)], n)
+
+
+def test_minpoly_operator_stops_at_its_degree_bound():
+    n, bound = 40, 5
+    shift = shift_operator(n)
+    assert minpoly_operator(shift, n) == x_minus({}) ** n
+    assert minpoly_operator(shift, n, n) == x_minus({}) ** n
+    assert minpoly_operator(shift_operator(bound), bound, bound) == x_minus({}) ** bound
+    steps = []
+
+    def counted(vec):
+        steps.append(1)
+        return shift(vec)
+
+    with pytest.raises(DegreeBoundExceeded, match="passes x-degree 5"):
+        minpoly_operator(counted, n, bound)
+    # one operator step per independent vector e_0, ..., e_bound
+    assert len(steps) == bound + 1
 
 
 def test_lcm_x_examples():
