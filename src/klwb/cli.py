@@ -11,15 +11,19 @@ an unexpected exception, reported on stderr as "internal error: <type>:
 validated, but every command runs serially: CPU-bound pure Python on a
 thread pool gained nothing, so the bytes emitted cannot depend on it.
 
-One process builds each Cartan type's group layer once: every command
-takes its Weyl group from ``_weyl``, a memo keyed by the type, so the
-caches the library keeps on a group (the std/ly Hecke algebras with their
-step tables, cells and full twists; the orbit data, stabilizer subsystems
-and their T_w0^2) serve every later command on that type.  The memo stops
-at the group: ``KLAlgebra`` and ``KModule`` are still built per command.
-Memoizing them as well saved few more calls in a ``perfbench`` ``cli``
-round (0.72x and 0.67x of the unmemoized count, against 0.75x) and raised
-its peak RSS by 2.8 MB (+10%) and 4 MB (+15%).
+Consecutive commands on one Cartan type share its group layer: every
+command takes its Weyl group from ``_weyl``, a memo of the last type's
+group, so the caches the library keeps on a group (the std/ly Hecke
+algebras with their step tables, cells and full twists; the orbit data,
+stabilizer subsystems and their T_w0^2) serve the next command on that
+type.  That pays where one process runs several commands through
+``main``, as the test suite and ``perfbench``'s ``cli`` workload do.  A
+``klwb`` shell call runs one command, and there the memo only spares
+``RunConfig.validate`` its own group, which no timing shows.  The memo
+keeps one type: keeping every type held all their caches for the whole
+process, +0.9 MB (+3%) of peak RSS on a ``cli`` run with no faster round,
+and memoizing ``KLAlgebra`` or ``KModule`` as well cost +2.8 MB or +4 MB
+for few calls saved.
 """
 
 from __future__ import annotations
@@ -74,10 +78,11 @@ class ConfigError(ValueError):
     """Bad command configuration; maps to exit code 2."""
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _weyl(cartan_type: str):
-    """The process's one Weyl group of the type (module docstring).  A type
-    that fails to build raises every time: lru_cache keeps no exception."""
+    """The Weyl group of the type, shared with the last command when that
+    ran on the same type (module docstring).  A type that fails to build
+    raises every time: lru_cache keeps no exception."""
     return build_weyl(cartan_type)
 
 

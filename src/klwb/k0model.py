@@ -78,7 +78,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .klalgebra import KLAlgebra
-from .linalg import DegreeBoundExceeded, minpoly_operator, sparse_operator
+from .linalg import minpoly_operator, sparse_operator
 from .rings import (
     BivarPoly,
     LaurentPoly,
@@ -528,15 +528,9 @@ class OrbitModule:
         the leading coefficient not a unit, ``divmod_x`` would raise
         NonUnitLeadingCoefficient.  IdentityFailure unless mu_B(F) e_j = 0
         for every basis vector e_j, decided on packed ints at the width of
-        the norm bound for unit vectors, and also when mu_B passes x-degree
-        2 l(w0) + 1: mu_B divides prod(x - v^2i, i <= 2 l(w0)) (``verify
-        minpoly``), so a longer one comes from a wrong F."""
+        the norm bound for unit vectors."""
         n = self.dim
-        g = self.alg.group
-        try:
-            mu = minpoly_operator(sparse_operator(self.twist_cols, n), n, 2 * g.lengths[g.longest_id] + 1)
-        except DegreeBoundExceeded as e:
-            raise IdentityFailure("full twist's %s" % e) from e
+        mu = minpoly_operator(sparse_operator(self.twist_cols, n), n)
         packed, b = self._packed_twist(mu, [1] * n)
         for j in range(n):
             acc, _ = _horner(packed, mu, b, [int(i == j) for i in range(n)])

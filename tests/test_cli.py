@@ -287,6 +287,11 @@ def test_one_process_builds_each_group_once(capsys, monkeypatch):
     for _ in range(2):
         assert run(capsys, "verify", "braid", "--type", "Q7")[0] == 2
     assert cli._weyl.cache_info().currsize == 1
+    # the memo keeps the last type only, so A2's group is built again
+    misses = cli._weyl.cache_info().misses
+    for t in ("B2", "A2"):
+        assert run(capsys, "verify", "braid", "--type", t)[0] == 0
+    assert cli._weyl.cache_info().misses == misses + 2
 
 
 # the A2 and B2 commands of a perfbench cli round at the default seed: every

@@ -242,20 +242,10 @@ def test_minpoly_check_rejects_a_dropped_factor(monkeypatch, t, den):
         for i in factor_exponents(mu, resolve_m("safe", blk.alg.group))[0]:
             short = divmod_x(mu, twist_factor(i))[0]
             fresh = OrbitModule(blk.alg)
-            monkeypatch.setattr(k0model, "minpoly_operator", lambda apply, n, max_degree, short=short: short)
+            monkeypatch.setattr(k0model, "minpoly_operator", lambda apply, n, short=short: short)
             with pytest.raises(IdentityFailure, match="does not kill basis vector"):
                 fresh.minpoly
             monkeypatch.undo()
-
-
-def test_minpoly_past_the_degree_bound_is_an_identity_failure(monkeypatch):
-    # a wrong F, here the nilpotent shift on a 4-dim A1 block, has a minimal
-    # polynomial x^4, past x-degree 2 l(w0) + 1 = 3
-    blk = next(b for b in KModule.for_type("A1", 6).blocks if b.dim == 4)
-    shift = [[(j + 1, LaurentPoly.one())] if j < 3 else [] for j in range(4)]
-    monkeypatch.setattr(OrbitModule, "twist_cols", shift)
-    with pytest.raises(IdentityFailure, match="minimal polynomial passes x-degree 3"):
-        blk.minpoly
 
 
 def test_tuple_arithmetic_and_serialization():
