@@ -98,15 +98,17 @@ class RunConfig:
     def validate(self) -> None:
         if self.orbit_denominator_bound < 1:
             raise ConfigError("orbit denominator bound must be positive")
-        m = self.exponent_bound_m
-        if not (m in ("paper", "safe") or (isinstance(m, int) and m >= 1)):
-            raise ConfigError("m must be 'paper', 'safe', or a positive integer")
         if self.threads < 1:
             raise ConfigError("thread count must be positive")
         try:
-            rank = _weyl(self.cartan_type).rank
+            W = _weyl(self.cartan_type)
         except Exception as e:
             raise ConfigError("unsupported type %r: %s" % (self.cartan_type, e))
+        try:
+            resolve_m(self.exponent_bound_m, W)
+        except ValueError as e:
+            raise ConfigError(str(e))
+        rank = W.rank
         den = self.orbit_denominator_bound
         # the first MAX_POINTS terms alone exceed MAX_POINTS
         if sum(n**rank for n in range(1, min(den, MAX_POINTS) + 1)) > MAX_POINTS:

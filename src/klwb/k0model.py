@@ -20,13 +20,16 @@ over one common denominator D (``_clear_denominators``), and gluing, the
 splitting and ``euclid_descent`` compute on the numerators.
 ``canonical_identity`` clears the denominators of its vector the same way.
 Q(v) appears only where a value leaves: ``KTuple.get``, rendered witnesses
-and ``express_in_free_span``, whose per-block column echelon stays in
-Q(v).  That echelon needs only the residuals of the free tuples: F(w, e_j)
-less F(e, Phi_{w^-1} e_j) is zero at y = e, so the columns F(e, e_j) are
-independent in closed form and only the residuals are eliminated
-(``OrbitModule._build_free_solver``).  Gluing needs no elimination: a_s =
-+-T_s maps each span{T_u 1_p, T_su 1_p} to itself, so Phi_s^2 - 1 is a sum
-of 2x2 blocks, solved pair by pair (``OrbitModule.solve_image``).  Each
+and the coefficients of ``express_in_free_span``.  Its per-block column
+echelon is fraction-free over Z[v, v^-1] (``linalg.reduce_pair``), and
+each coefficient becomes a Qv once, as an integral numerator over the
+product of the pivots applied.  That echelon needs only the residuals of
+the free tuples: F(w, e_j) less F(e, Phi_{w^-1} e_j) is zero at y = e, so
+the columns F(e, e_j) are independent in closed form and only the
+residuals are eliminated (``OrbitModule._build_free_solver``).  Gluing
+needs no elimination: a_s = +-T_s maps each span{T_u 1_p, T_su 1_p} to
+itself, so Phi_s^2 - 1 is a sum of 2x2 blocks, solved pair by pair
+(``OrbitModule.solve_image``).  Each
 block builds its pair tables, its full-twist columns, the minimal
 polynomial mu_B of F on it, its generators packed per Kronecker width and
 the free-span echelon once each, on first use.
@@ -78,7 +81,7 @@ import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .klalgebra import KLAlgebra
-from .linalg import minpoly_operator, sparse_operator
+from .linalg import DegreeBoundExceeded, content, echelon_row, minpoly_operator, reduce_pair, sparse_operator
 from .rings import (
     BivarPoly,
     LaurentPoly,
@@ -237,32 +240,6 @@ def _lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a * b.divide_exact(gcd_laurent(a, b))
 
 
-def _content(vecs) -> Tuple[LaurentPoly, List[List[LaurentPoly]]]:
-    """(g, the vecs divided by g): g a gcd of the nonzero entries of vecs
-    (``gcd_laurent``), zero when there are none, and the vecs unchanged then.
-    Each entry is divided once: a gcd is taken only for an entry the running
-    g does not divide, and the quotients taken so far are then multiplied by
-    the old g over the new."""
-    g = LaurentPoly.zero()
-    out = [list(vec) for vec in vecs]
-    done: List[Tuple[list, int]] = []
-    for vec in out:
-        for r, x in enumerate(vec):
-            if not x:
-                continue
-            q = x.divide_exact(g) if g else None
-            if q is None:
-                h = gcd_laurent(g, x)
-                if g:
-                    f = g.divide_exact(h)
-                    for u, i in done:
-                        u[i] = u[i] * f
-                g, q = h, x.divide_exact(h)
-            vec[r] = q
-            done.append((vec, r))
-    return g, out
-
-
 def _scaled(vecs, c: LaurentPoly):
     return [[c * x for x in vec] for vec in vecs]
 
@@ -344,42 +321,13 @@ def _packed_sum(terms) -> List[int]:
     return acc
 
 
-def _axpy(vec: dict, f, row: dict) -> None:
-    """vec += f row on sparse vectors, in place; entries that cancel are
-    removed."""
-    for i, x in row.items():
-        y = vec.get(i)
-        z = f * x if y is None else y + f * x
-        if z:
-            vec[i] = z
-        else:
-            del vec[i]
-
-
-def _eliminate(u: dict, rows) -> List[tuple]:
-    """Reduce the sparse vector u against rows (pivot, rest, pre) in order,
-    in place: where u has an entry f at a row's pivot, u loses f times the
-    row (1 at the pivot, rest elsewhere).  Each row is zero at the pivots of
-    the rows before it, so u ends zero at every pivot.  Returns the pairs
-    (f, pre) taken: the input less the reduced u is sum f times the rows,
-    that is the combination sum f pre of the columns, which callers form
-    only when they need it."""
-    taken = []
-    for piv, rest, pre in rows:
-        f = u.pop(piv, None)
-        if f is not None:
-            _axpy(u, -f, rest)
-            taken.append((f, pre))
-    return taken
-
-
-def _stacked_diff(left, right, lo: int, b: int) -> Dict[int, Qv]:
-    """{y dim + r: left[y]_r - right[y]_r} over y != e (id 0), in Q(v), for
-    tables of packed block vectors indexed by element id: the stacked
-    entries where they differ, unpacked at base lo and width b."""
+def _stacked_diff(left, right, lo: int, b: int) -> Dict[int, LaurentPoly]:
+    """{y dim + r: left[y]_r - right[y]_r} over y != e (id 0), for tables of
+    packed block vectors indexed by element id: the stacked entries where
+    they differ, unpacked at base lo and width b."""
     n = len(left[0])
     return {
-        y * n + r: Qv(unpack(x - z, lo, b))
+        y * n + r: unpack(x - z, lo, b)
         for y in range(1, len(left))
         for r, (x, z) in enumerate(zip(left[y], right[y]))
         if x != z
@@ -390,11 +338,6 @@ def _ratio(num: LaurentPoly, d: LaurentPoly, den: LaurentPoly) -> Qv:
     """num / (d den), a gcd taken only when d does not divide num."""
     q = num.divide_exact(d)
     return Qv(num, d * den) if q is None else Qv(q, den)
-
-
-def _span(x: Qv) -> int:
-    """The degree span of x's numerator plus the degree of its denominator."""
-    return x.num.max_exp - x.num.min_exp + x.den.max_exp
 
 
 class OrbitModule:
@@ -526,11 +469,20 @@ class OrbitModule:
         entries in Z[v], so its monic minimal polynomial has coefficients in
         Z[v] (Gauss's lemma) and ``divmod_x`` by it stays in the ring; were
         the leading coefficient not a unit, ``divmod_x`` would raise
-        NonUnitLeadingCoefficient.  IdentityFailure unless mu_B(F) e_j = 0
-        for every basis vector e_j, decided on packed ints at the width of
-        the norm bound for unit vectors."""
+        NonUnitLeadingCoefficient.
+
+        mu_B divides prod(x - v^2i, i <= 2 l(w0)), as for
+        ``KLAlgebra.fulltwist_minpoly``, so the Krylov runs stop at x-degree
+        2 l(w0) + 1 and a wrong F fails fast: IdentityFailure when mu_B
+        passes that degree, or unless mu_B(F) e_j = 0 for every basis vector
+        e_j, decided on packed ints at the width of the norm bound for unit
+        vectors."""
         n = self.dim
-        mu = minpoly_operator(sparse_operator(self.twist_cols, n), n)
+        bound = 2 * self.alg.group.lengths[self.alg.group.longest_id] + 1
+        try:
+            mu = minpoly_operator(sparse_operator(self.twist_cols, n), n, bound)
+        except DegreeBoundExceeded as e:
+            raise IdentityFailure("the minimal polynomial of F passes x-degree %d" % bound) from e
         packed, b = self._packed_twist(mu, [1] * n)
         for j in range(n):
             acc, _ = _horner(packed, mu, b, [int(i == j) for i in range(n)])
@@ -612,9 +564,9 @@ class OrbitModule:
         return x
 
     def _build_free_solver(self):
-        """(rows, phi): a column echelon over Q(v) of the residuals of the
-        block's stacked free tuples, and phi[(w, j)] = Phi_{w^-1} e_j for
-        each residual (w, j) that became a row.
+        """(rows, phi): a fraction-free echelon over Z[v, v^-1] of the
+        residuals of the block's stacked free tuples, and phi[(w, j)] =
+        Phi_{w^-1} e_j for each residual (w, j) that became a row.
 
         Column (w, j) is the free tuple F(w, e_j), y -> Phi_{y w^-1} e_j,
         stacked with entry (y, r) at index y dim + r.  The columns F(e, e_j)
@@ -629,12 +581,11 @@ class OrbitModule:
         The residuals are formed on packed ints from the ``images`` tables of
         the unit vectors (terms of l(w0) and 2 l(w0) steps), and only the
         nonzero ones are reduced in (w, j) order against the rows so far
-        (``_eliminate``).  One that does not reduce to zero becomes a row
-        (pivot, rest, pre), scaled to 1 at the pivot: rest holds its other
-        entries and pre the combination {(w, j): c} of residuals that equals
-        it, both sparse.  Which entry is the pivot is free; the entry of
-        least degree span (``_span``, least index on ties) keeps the Q(v)
-        entries small.
+        (``linalg.reduce_pair``), carrying the combination {(w, j): c} of
+        residuals that equals the reduced vector.  One that does not reduce
+        to zero becomes a row (piv, ru, rw, d) (``linalg.echelon_row``): ru
+        the reduced residual and rw its combination, both sparse and
+        primitive together.
         """
         g = self.alg.group
         n = self.dim
@@ -651,19 +602,9 @@ class OrbitModule:
             for j in range(n):
                 k = tabs[j][winv]
                 u = _stacked_diff([tabs[j][z] for z in zs], self.images(k, gens), lo, b)
-                if not u:
-                    continue
-                taken = _eliminate(u, rows)
-                if u:
-                    # the preimage of an independent residual; a dependent
-                    # one never needs its own
-                    pre = {(w, j): QV_ONE}
-                    for f, pk in taken:
-                        _axpy(pre, -f, pk)
-                    piv = min(u, key=lambda i: (_span(u[i]), i))
-                    inv = u.pop(piv).inv()
-                    pre = {c: x * inv for c, x in pre.items()}
-                    rows.append((piv, {i: x * inv for i, x in u.items()}, pre))
+                row = echelon_row(*reduce_pair(u, {(w, j): one}, rows)[:2]) if u else None
+                if row is not None:
+                    rows.append(row)
                     phi[(w, j)] = {r: unpack(x, lo, b) for r, x in enumerate(k) if x}
         return rows, phi
 
@@ -674,33 +615,34 @@ class OrbitModule:
 
         By its residual argument a = F(e, alpha) + sum beta_(w, j) R(w, j)
         over the pivots with w != e, alpha = a_e - sum beta_(w, j) Phi_{w^-1}
-        e_j.  R vanishes at y = e, so beta comes from the echelon of a -
-        F(e, a_e), formed on packed ints (terms of 0 and l(w0) steps), and
-        then alpha from a_e; the coefficient of (e, j) is alpha_j.
+        e_j.  R vanishes at y = e, so beta comes from reducing a - F(e, a_e),
+        formed on packed ints (terms of 0 and l(w0) steps): ``reduce_pair``
+        leaves sigma (a - F(e, a_e)) = -sum negx_(w, j) R(w, j), so beta =
+        -negx / sigma and sigma alpha = sigma a_e + sum negx_(w, j) Phi_{w^-1}
+        e_j, all integral; the coefficient of (e, j) is alpha_j.
 
         The solve is linear, so it runs on parts divided by their content g
-        (``_content``) and the coefficients are multiplied by g: on the
-        p(v)^k-multiples of c08, g carries p(v)^k, whose degree would
-        otherwise enter every Q(v) gcd of the elimination.
+        (``linalg.content``) and the coefficients are multiplied by g: on
+        the p(v)^k-multiples of c08, g carries p(v)^k, whose degree would
+        otherwise enter every product of the elimination.  Each coefficient
+        becomes a Qv once, as its integral numerator times g over sigma.
         """
-        g, parts = _content(parts)
+        g, parts = content(parts)
         if not g:
             return {}
         grp = self.alg.group
         rows, phi = self._solver("free", self._build_free_solver)
         gens, packed, lo, b = self.pack(parts, [0, grp.lengths[grp.longest_id]])
-        u = _stacked_diff(packed, self.images(packed[0], gens), lo, b)
-        taken = _eliminate(u, rows)
+        u, negx, sigma = reduce_pair(_stacked_diff(packed, self.images(packed[0], gens), lo, b), {}, rows)
         if u:
             return None
-        coeffs: Dict[Tuple[int, int], Qv] = {}
-        for f, pre in taken:
-            _axpy(coeffs, f, pre)
-        alpha = {j: Qv(x) for j, x in enumerate(parts[0]) if x}
-        for lab, c in coeffs.items():
-            _axpy(alpha, -c, phi[lab])
-        coeffs.update(((0, j), c) for j, c in alpha.items())
-        return {lab: c * g for lab, c in coeffs.items()}
+        alpha = [sigma * x for x in parts[0]]
+        for lab, c in negx.items():
+            for r, x in phi[lab].items():
+                alpha[r] = alpha[r] + c * x
+        coeffs = {lab: -c for lab, c in negx.items()}
+        coeffs.update(((0, j), x) for j, x in enumerate(alpha) if x)
+        return {lab: Qv(c * g, sigma) for lab, c in coeffs.items()}
 
 
 class KModule:

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
 from klwb import charpoints, cli, klalgebra
 from klwb.cli import RunConfig, ConfigError, main
 from klwb.coxeter import UnsupportedType, WeylGroup, build_weyl
-from klwb.k0model import OrbitModule
+from klwb.k0model import IdentityFailure, KModule, OrbitModule
 from klwb.linalg import sparse_operator
 from klwb.rings import LaurentPoly
 
@@ -123,6 +124,26 @@ def test_minpoly_past_the_degree_bound_is_a_failure(capsys, monkeypatch):
     (entry,) = json.loads(out.out)["results"]
     assert entry["check"] == "minpoly" and entry["status"] == "fail"
     assert entry["detail"] == "minimal polynomial passes x-degree 3; it cannot divide prod(x - v^2i, i <= 2)"
+
+
+def test_block_minpoly_past_the_degree_bound_is_a_failure(capsys, monkeypatch):
+    # the nilpotent shift in place of every block's full twist: its minimal
+    # polynomial x^dim passes x-degree 2 l(w0) + 1 on A2/2's 18-dim block and
+    # on A1's 4-dim blocks, so the block's Krylov runs stop there
+    def shift(self):
+        return [[(j + 1, LaurentPoly.one())] if j + 1 < self.dim else [] for j in range(self.dim)]
+
+    monkeypatch.setattr(OrbitModule, "_build_twist", shift)
+    (blk,) = [b for b in KModule.for_type("A2", 2).blocks if b.dim == 18]
+    start = time.perf_counter()
+    with pytest.raises(IdentityFailure, match="the minimal polynomial of F passes x-degree 7"):
+        blk.minpoly
+    assert time.perf_counter() - start < 5
+    rc, out = run(capsys, "verify", "polyconj", "--type", "A1", "--json")
+    assert rc == 1 and out.err == ""
+    results = json.loads(out.out)["results"]
+    assert [r["status"] for r in results] == ["fail"] * cli.N_POLYCONJ
+    assert all(r["witness"] == "the minimal polynomial of F passes x-degree 3" for r in results)
 
 
 def test_minpoly_configured_integer_range(capsys):

@@ -242,7 +242,7 @@ def test_minpoly_check_rejects_a_dropped_factor(monkeypatch, t, den):
         for i in factor_exponents(mu, resolve_m("safe", blk.alg.group))[0]:
             short = divmod_x(mu, twist_factor(i))[0]
             fresh = OrbitModule(blk.alg)
-            monkeypatch.setattr(k0model, "minpoly_operator", lambda apply, n, short=short: short)
+            monkeypatch.setattr(k0model, "minpoly_operator", lambda apply, n, bound, short=short: short)
             with pytest.raises(IdentityFailure, match="does not kill basis vector"):
                 fresh.minpoly
             monkeypatch.undo()
@@ -355,11 +355,12 @@ def test_gluing_reports_pinned_b2_g2(t, den):
 
 
 def test_minpoly_operator_non_unit_pivot(monkeypatch):
-    # columns A e0 = (0, 1 + v^2, 1), A e1 = (0, 0, 1), A e2 = (0, 1, v):
-    # the Krylov vector A e0 leaves the pivot 1 + v^2, and A^2 e0 meets it
-    # with the entry 1, so the reduction must scale by 1 + v^2
+    # columns A e0 = (0, 1 + v^2, 1 + v + v^2), A e1 = (0, 0, 1),
+    # A e2 = (0, 1, v): both entries of the Krylov vector A e0 have degree
+    # span 2, so the least index gives the pivot 1 + v^2, and A^2 e0 meets
+    # it with the entry 1 + v + v^2, so the reduction must scale by 1 + v^2
     cols = [
-        [lp({}), lp({0: 1, 2: 1}), lp({0: 1})],
+        [lp({}), lp({0: 1, 2: 1}), lp({0: 1, 1: 1, 2: 1})],
         [lp({}), lp({}), lp({0: 1})],
         [lp({}), lp({0: 1}), lp({1: 1})],
     ]
@@ -381,8 +382,8 @@ def test_minpoly_operator_non_unit_pivot(monkeypatch):
     monkeypatch.setattr(linalg, "reduce_pair", traced)
     mp = linalg.minpoly_operator(apply, 3)
     assert lp({0: 1, 2: 1}) in sigmas
-    # pinned from the Q(v) elimination: x^3 - v x^2 - x, primitive, so the
-    # 1 + v^2 scaling is divided out again
+    # x^3 - v x^2 - x, the characteristic polynomial x (x^2 - v x - 1),
+    # primitive, so the 1 + v^2 scaling is divided out again
     assert [c.render() for c in mp.xcoeffs] == ["0", "-1", "-v", "1"]
 
 
@@ -535,20 +536,17 @@ def image_echelon_reference(blk, s):
     """Reference for ``OrbitModule._build_pairs``: the image of Phi_s^2 - 1
     on blk, echelonized fraction-free over Z[v, v^-1] with preimages, the
     columns in index order.  A row (pivot, col, pre, d) has
-    (Phi_s^2 - 1) pre = col and col[pivot] = d (``linalg.echelon_row``)."""
-    n = blk.dim
+    (Phi_s^2 - 1) pre = col and col[pivot] = d (``linalg.echelon_row``),
+    col and pre sparse."""
     gen = blk.gen_cols[s]
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
     rows = []
-    for j in range(n):
-        col = [zero] * n
+    for j in range(blk.dim):
+        col = {j: -LaurentPoly.one()}
         for r, c in gen[j]:
             for r2, c2 in gen[r]:
-                col[r2] = col[r2] + c * c2
-        col[j] = col[j] - one
-        pre = [zero] * n
-        pre[j] = one
-        row = linalg.echelon_row(*linalg.reduce_pair(col, pre, rows)[:2])
+                col[r2] = col.get(r2, LaurentPoly.zero()) + c * c2
+        col = {i: x for i, x in col.items() if x}
+        row = linalg.echelon_row(*linalg.reduce_pair(col, {j: LaurentPoly.one()}, rows)[:2])
         if row is not None:
             rows.append(row)
     return rows
@@ -557,12 +555,10 @@ def image_echelon_reference(blk, s):
 def solve_image_reference(rows, rhs, den):
     # reduce_pair keeps res = sigma * rhs + (Phi_s^2 - 1) negx, and negx is
     # supported on the columns that became rows
-    if not any(rhs):
-        return [Qv(0)] * len(rhs)
-    res, negx, sigma = linalg.reduce_pair(rhs, [LaurentPoly.zero()] * len(rhs), rows)
-    if any(res):
+    res, negx, sigma = linalg.reduce_pair({i: a for i, a in enumerate(rhs) if a}, {}, rows)
+    if res:
         return None
-    return [Qv(-a, sigma * den) for a in negx]
+    return {i: Qv(-a, sigma * den) for i, a in negx.items()}
 
 
 def pair_ranks(blk, s):
@@ -1158,8 +1154,8 @@ def test_free_span_rank_is_dim_plus_residual_rank(t, den, ranks):
         # of the pivots before it; e's columns are never rows
         labels = list(phi)
         assert len(labels) == len(rows) and all(w != 0 for w, _ in labels)
-        for i, (_, _, pre) in enumerate(rows):
-            assert labels[i] in pre and set(pre) <= set(labels[: i + 1])
+        for i, (_, _, rw, _) in enumerate(rows):
+            assert labels[i] in rw and set(rw) <= set(labels[: i + 1])
         got.append(blk.dim + len(rows))
     assert got == ranks
 
