@@ -488,6 +488,14 @@ PINNED_OUTPUT_SHA256 = {
     "verify cells --type A3 --json": "9ba40112cf16f3cbd4f5ffc0a0d35dcdccdb1ee8ceb3e9f754c2c352be4746d4",
     "dump fulltwist_scalars --type A3": "ade99b57b273967aa469967990f4261ac70bae750284f1d92b78b9b98d66701f",
     "dump fulltwist_scalars --type A3 --json": "cf4d9f5c1ea6c3dabcbcbfdf9805215bbaf045f0d1d95d77c29c10ed7a4ef282",
+    "dump cells --type B2": "2b06513f9b1213a762e5db6abf0bc90c1cbe1075c4afce0ffe60a0ba4bd2f00e",
+    "dump cells --type B2 --json": "ee886e91a20ad7eff794c48471311eb36c26c405ec18a4a144a70d32f64e2855",
+    "dump cells --type G2": "cc1ced7fe376034745fafca3217e032801fc268e0578331bc3e468a0737bc4e7",
+    "dump cells --type G2 --json": "ced85cddc9dac598f0445e1a33a6e8ec92aec0d3d446359689ff41b984b58f7a",
+    "dump cells --type A3": "bce8cdfeb87762d58551202d8dd659872e6ca54f2042f7579ca0e45b15f0dcfb",
+    "dump cells --type A3 --json": "aff542aa3edeead947295b820f88c169df770e8227a098484fddf33b7c84cf0f",
+    "dump cells --type B3": "0a43bbd5ef00b72541b81c3955a1ecf9ae603c607bd203df1d114b83e415bb4d",
+    "dump cells --type B3 --json": "67a3883d28cbc838a18c9d864c3f220c5a120b39322352a29905a119a5b2e670",
     "verify gluing --type B2": "e4e7789c9af2792e82a66754e1ff9d3e6cd09eb09788daa1a91e79915f25d26b",
     "verify gluing --type B2 --json": "0c258b3a42efebc94970ab1d5b77f5f7f9732fdced37ff8cef1cdf923322282b",
     "verify minpoly --type B2": "60e9cf7cccb6793805715acf34f2c817a14f46a9f0629879168891f358c6e967",
