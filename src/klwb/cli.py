@@ -105,9 +105,13 @@ class RunConfig:
         except Exception as e:
             raise ConfigError("unsupported type %r: %s" % (self.cartan_type, e))
         try:
-            resolve_m(self.exponent_bound_m, W)
+            m = resolve_m(self.exponent_bound_m, W)
         except ValueError as e:
             raise ConfigError(str(e))
+        if m > 2 * W.lengths[W.longest_id]:
+            # p(v) has degree m (m + 1); no suite reads past 'safe'
+            msg = "m %d is above 2 l(w0) = %d, the 'safe' bound"
+            raise ConfigError(msg % (m, 2 * W.lengths[W.longest_id]))
         rank = W.rank
         den = self.orbit_denominator_bound
         # the first MAX_POINTS terms alone exceed MAX_POINTS
@@ -539,6 +543,10 @@ def _cmd_specialize(cfg: RunConfig, q: int) -> List[dict]:
     W = _weyl(cfg.cartan_type)
     mm = resolve_m(cfg.exponent_bound_m, W)
     val = p_poly(mm).specialize_sqrt_q(q)
+    limit = sys.get_int_max_str_digits()
+    if limit and max(abs(val.a), abs(val.b)) >= 10**limit:
+        msg = "p(sqrt(%d)) at m=%d has more than %d decimal digits"
+        raise ConfigError(msg % (q, mm, limit))
     return [
         _entry(
             "specialize",

@@ -17,6 +17,9 @@ and the rule.  Every product that is a word in generators, or in their
 inverses (INV_STD_RULE, INV_LY_RULE), runs as a chain of steps.  Rules:
 STD_RULE in std; LY_RULE in ly and in orbit blocks whose W_L contains s;
 FREE_RULE (T_s^2 = 1) elsewhere.
+
+Cells and their order come from one transitive closure of the W-graph, whose
+edges the KL basis (mu) and the descent sets give (``cell_edges``).
 """
 
 from __future__ import annotations
@@ -535,52 +538,49 @@ def convert_convention(a: HeckeElement, to: str) -> HeckeElement:
     return out
 
 
-def _scc(n: int, edges: Dict[int, set]) -> List[List[int]]:
-    # Tarjan, iterative
-    index = [0] * n
-    low = [0] * n
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    stack: List[int] = []
-    out: List[List[int]] = []
-    counter = [1]
-    for root in range(n):
-        if state[root]:
-            continue
-        work = [(root, iter(sorted(edges.get(root, ()))))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        state[root] = 1
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if not state[nxt]:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    state[nxt] = 1
-                    work.append((nxt, iter(sorted(edges.get(nxt, ())))))
-                    advanced = True
-                    break
-                if state[nxt] == 1:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    x = stack.pop()
-                    state[x] = 2
-                    comp.append(x)
-                    if x == node:
-                        break
-                out.append(sorted(comp))
-    return out
+def cell_edges(algebra: HeckeAlgebra) -> Tuple[List[set], List[set]]:
+    """Left and right cell edges per element id, read off the W-graph.
+
+    C_s C_w is (v + 1/v) C_w when sw < w, else C_sw plus mu(z, w) C_z over
+    the z < w with sz < z (Kazhdan-Lusztig 1979, section 2).  So w -> y is a
+    left edge when y = sw > w, or when mu(y, w) != 0 and y has a left
+    descent that w lacks.  Right edges are the left edges of the inverses.
+    """
+    g = algebra.group
+    n = g.size
+    desc = [
+        sum(1 << s for s in range(g.rank) if g.lengths[g.lmul_id(s, w)] < g.lengths[w])
+        for w in range(n)
+    ]
+    left = []
+    for w in range(n):
+        out = {g.lmul_id(s, w) for s in range(g.rank) if not desc[w] >> s & 1}
+        for z, h in algebra.kl_basis(w)._t.items():
+            if z != w and h.coefficient(1) and desc[z] & ~desc[w]:
+                out.add(z)
+        left.append(out)
+    inv = g.inv_id
+    return left, [{inv(y) for y in left[inv(w)]} for w in range(n)]
+
+
+def _closure(edges: List[set]) -> List[int]:
+    """Warshall's algorithm on bitmasks: bit y of reach[x] is set when y is
+    reachable from x, x itself included."""
+    reach = [sum(1 << y for y in out) | 1 << x for x, out in enumerate(edges)]
+    for k, rk in enumerate(reach):
+        for i, ri in enumerate(reach):
+            if ri >> k & 1:
+                reach[i] = ri | rk
+    return reach
+
+
+def _classes(reach: List[int]) -> List[List[int]]:
+    """Classes of mutual reachability, each sorted, by least member."""
+    out: Dict[int, List[int]] = {}
+    for x, rx in enumerate(reach):
+        first = next(y for y in range(x + 1) if rx >> y & 1 and reach[y] >> x & 1)
+        out.setdefault(first, []).append(x)
+    return list(out.values())
 
 
 class CellDecomposition:
@@ -588,79 +588,28 @@ class CellDecomposition:
 
     The partial order is oriented so the identity's cell is maximal: c <= c'
     when some C_x, x in c, appears in products H * C_y * H for y in c'.
-    two_sided lists cells in a linear extension with the maximal cell first.
+    Cells are the classes of mutual reachability along ``cell_edges``, the
+    two-sided ones along left and right edges together.  two_sided lists
+    cells in a linear extension with the maximal cell first, taking among
+    the cells whose upper cells are all placed the one with the least member.
     """
 
     def __init__(self, algebra: HeckeAlgebra):
-        g = algebra.group
-        n = g.size
-        left_edges: Dict[int, set] = {e: set() for e in range(n)}
-        right_edges: Dict[int, set] = {e: set() for e in range(n)}
-        for eid in range(n):
-            cw = algebra.kl_basis(eid)
-            for i in range(g.rank):
-                cs = algebra.kl_basis(g.id_of(g.gens[i]))
-                for y in algebra.kl_expand(algebra.t_mul(cs, cw)):
-                    if y != eid:
-                        left_edges[eid].add(y)
-                for y in algebra.kl_expand(algebra.t_mul(cw, cs)):
-                    if y != eid:
-                        right_edges[eid].add(y)
-        both: Dict[int, set] = {
-            e: left_edges[e] | right_edges[e] for e in range(n)
-        }
-        self.group = g
-        self._left_ids = _scc(n, left_edges)
-        self._right_ids = _scc(n, right_edges)
-        two = _scc(n, both)
-
-        # reachability between two-sided classes; edge a -> b means b <= a
-        comp_of = {}
-        for k, comp in enumerate(two):
-            for e in comp:
-                comp_of[e] = k
-        m = len(two)
-        dag: List[set] = [set() for _ in range(m)]
-        for e, outs in both.items():
-            for y in outs:
-                if comp_of[e] != comp_of[y]:
-                    dag[comp_of[e]].add(comp_of[y])
-        reach: List[set] = [set() for _ in range(m)]
-
-        def visit(k):
-            if reach[k]:
-                return reach[k]
-            acc = {k}
-            for j in dag[k]:
-                acc |= visit(j)
-            reach[k] = acc
-            return acc
-
-        for k in range(m):
-            visit(k)
-
-        # linear extension, maximal cell first, deterministic tie break
-        order: List[int] = []
-        placed = set()
-        while len(order) < m:
-            # a cell is ready when every cell above it is already placed
-            ready = []
-            for k in range(m):
-                if k in placed:
-                    continue
-                above = [j for j in range(m) if j != k and k in reach[j]]
-                if all(j in placed for j in above):
-                    ready.append(k)
-            pick = min(ready, key=lambda k: min(two[k]))
-            order.append(pick)
-            placed.add(pick)
-        self._two_ids = [two[k] for k in order]
-        self._reach = reach
-        self._perm = order  # position -> original scc index
-        self._cell_of = {}
-        for pos, comp in enumerate(self._two_ids):
-            for e in comp:
-                self._cell_of[e] = pos
+        left, right = cell_edges(algebra)
+        self.group = algebra.group
+        self._left_ids = _classes(_closure(left))
+        self._right_ids = _classes(_closure(right))
+        self._reach = _closure([a | b for a, b in zip(left, right)])
+        todo = _classes(self._reach)
+        self._two_ids: List[List[int]] = []
+        while todo:
+            ready = next(
+                c for c in todo
+                if not any(d is not c and self._reach[d[0]] >> c[0] & 1 for d in todo)
+            )
+            self._two_ids.append(ready)
+            todo.remove(ready)
+        self._cell_of = {e: pos for pos, comp in enumerate(self._two_ids) for e in comp}
 
     # -- views ---------------------------------------------------------------
 
@@ -694,7 +643,7 @@ class CellDecomposition:
 
     def leq(self, a: int, b: int) -> bool:
         """Whether cell a <= cell b (the identity's cell is maximal)."""
-        return self._perm[a] in self._reach[self._perm[b]]
+        return bool(self._reach[self._two_ids[b][0]] >> self._two_ids[a][0] & 1)
 
     def to_json(self):
         g = self.group

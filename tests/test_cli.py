@@ -52,6 +52,25 @@ def test_huge_den_fails_before_enumeration(capsys, monkeypatch):
     assert out.err.count("\n") == 1 and "den 1000" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "specialize 2 --type A1 --m 200",
+        "specialize 2 --type A1 --m 2000",
+        "specialize 10000 --type F4",
+        "verify minpoly --type A1 --m 200",
+    ],
+)
+def test_oversized_m_or_value_fails_fast(capsys, argv):
+    # m above 2 l(w0), or a p(sqrt(q)) too long to print, is a config error
+    start = time.perf_counter()
+    rc, out = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+
+
 def test_point_budget_admits_every_type_at_the_default_den():
     accepted = []
     for family in "ABCDEFG":

@@ -9,9 +9,12 @@ from klwb.hecke import (
     LY,
     STD,
     STD_RULE,
+    CellDecomposition,
     ConventionMismatch,
+    HeckeAlgebra,
     HeckeElement,
     NotCentral,
+    cell_edges,
     convert_convention,
     hecke_algebra,
     lmul_gen,
@@ -321,6 +324,80 @@ def test_two_sided_is_join_of_left_and_right():
 def test_cells_shared_between_conventions():
     W = build_weyl("A2")
     assert hecke_algebra(W, LY).cells() is hecke_algebra(W, STD).cells()
+
+
+def _product_edges(alg):
+    """The definition of the cell preorders: w -> y, y != w, is a left
+    (right) edge when C_y appears in C_s C_w (C_w C_s) for a simple s."""
+    g = alg.group
+    left, right = [], []
+    for w in range(g.size):
+        cw = alg.kl_basis(w)
+        ls, rs = set(), set()
+        for i in range(g.rank):
+            cs = alg.kl_basis(g.id_of(g.gens[i]))
+            ls.update(alg.kl_expand(alg.t_mul(cs, cw)))
+            rs.update(alg.kl_expand(alg.t_mul(cw, cs)))
+        left.append(ls - {w})
+        right.append(rs - {w})
+    return left, right
+
+
+def _reachable(edges, x):
+    seen, todo = {x}, [x]
+    while todo:
+        for y in edges[todo.pop()]:
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("cartan_type", ["A1", "A2", "A3", "B2", "G2", "B3", "C3", "A4"])
+def test_cells_match_the_product_definition(cartan_type):
+    W = build_weyl(cartan_type)
+    alg = hecke_algebra(W, STD)
+    left, right = _product_edges(alg)
+    assert cell_edges(alg) == (left, right)
+    both = [a | b for a, b in zip(left, right)]
+    n = W.size
+
+    def partition(edges):
+        reach = [_reachable(edges, x) for x in range(n)]
+        return {frozenset(y for y in reach[x] if x in reach[y]) for x in range(n)}
+
+    dec = alg.cells()
+    assert {frozenset(c) for c in dec._left_ids} == partition(left)
+    assert {frozenset(c) for c in dec._right_ids} == partition(right)
+    assert {frozenset(c) for c in dec._two_ids} == partition(both)
+    reach = [_reachable(both, x) for x in range(n)]
+    cells = dec._two_ids
+    for a, ca in enumerate(cells):
+        for b, cb in enumerate(cells):
+            assert dec.leq(a, b) == (ca[0] in reach[cb[0]])
+    # maximal cell first; among the cells whose upper cells are placed, the
+    # one with the least member
+    todo, want = list(partition(both)), []
+    while todo:
+        ready = [c for c in todo if not any(d != c and min(c) in reach[min(d)] for d in todo)]
+        want.append(sorted(min(ready, key=min)))
+        todo.remove(min(ready, key=min))
+    assert dec._two_ids == want
+
+
+def test_cells_take_no_hecke_products(monkeypatch):
+    W = build_weyl("A3")
+    alg = hecke_algebra(W, STD)
+    for w in range(W.size):
+        alg.kl_basis(w)
+    calls = []
+    for name in ("t_mul", "kl_expand"):
+        f = getattr(HeckeAlgebra, name)
+        monkeypatch.setattr(HeckeAlgebra, name, lambda self, *a, f=f, name=name: calls.append(name) or f(self, *a))
+    CellDecomposition(alg)
+    assert calls == []
+    alg.kl_expand(alg.t_mul(alg.unit(), alg.unit()))
+    assert calls == ["t_mul", "kl_expand"]
 
 
 def test_full_twist_central_and_scalars():
