@@ -380,8 +380,9 @@ def test_cells_match_the_product_definition(cartan_type):
     todo, want = list(partition(both)), []
     while todo:
         ready = [c for c in todo if not any(d != c and min(c) in reach[min(d)] for d in todo)]
-        want.append(sorted(min(ready, key=min)))
-        todo.remove(min(ready, key=min))
+        pick = min(ready, key=min)
+        want.append(sorted(pick))
+        todo.remove(pick)
     assert dec._two_ids == want
 
 
